@@ -11,38 +11,24 @@ namespace snd {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr int32_t kNone = -1;
 
-// A basic arc of the transportation tableau. Basic arcs form a spanning
-// tree of the bipartite node set (suppliers + consumers).
-struct BasicArc {
-  int32_t i = 0;
-  int32_t j = 0;
-  double flow = 0.0;
-  bool active = true;
-};
-
+// Node ids: supplier i is node i, consumer j is node S + j. Every tree arc
+// joins a supplier and a consumer and is stored at its child endpoint, so
+// the basis needs no arc array: parent_[u], flow_[u] describe the arc from
+// u to its parent.
 class Simplex {
  public:
-  Simplex(const TransportProblem& problem, const SimplexOptions& options)
+  explicit Simplex(const TransportProblem& problem)
       : problem_(problem),
-        options_(options),
         S_(problem.num_suppliers()),
         T_(problem.num_consumers()) {}
 
   // Returns true and fills `plan` on success; false if the pivot cap was
   // exceeded (caller falls back to SSP).
   bool Run(TransportPlan* plan) {
-    const bool use_vogel =
-        options_.initial_basis == SimplexOptions::InitialBasis::kVogel &&
-        static_cast<int64_t>(S_) * static_cast<int64_t>(T_) <=
-            options_.vogel_cell_limit;
-    if (use_vogel) {
-      BuildInitialBasisVogel();
-    } else {
-      BuildInitialBasis();
-    }
-    const double price_tol =
-        1e-9 * (1.0 + problem_.MaxCost());
+    BuildInitialTree();
+    const double price_tol = 1e-9 * (1.0 + problem_.MaxCost());
     const int64_t max_pivots =
         200 + 64 * (static_cast<int64_t>(S_) + T_) *
                   static_cast<int64_t>(
@@ -50,55 +36,88 @@ class Simplex {
                                                2.0 + S_ + T_))));
     for (int64_t pivot = 0;; ++pivot) {
       if (pivot > max_pivots) return false;
-      ComputeDuals();
       int32_t ei = 0, ej = 0;
       if (!FindEnteringArc(price_tol, &ei, &ej)) break;  // Optimal.
       Pivot(ei, ej);
     }
     plan->flows.clear();
     plan->total_cost = 0.0;
-    for (const BasicArc& a : basis_) {
-      if (!a.active || a.flow <= 0.0) continue;
-      plan->flows.push_back({a.i, a.j, a.flow});
-      plan->total_cost += a.flow * problem_.Cost(a.i, a.j);
+    for (int32_t u = 0; u < S_ + T_; ++u) {
+      const double f = flow_[static_cast<size_t>(u)];
+      if (parent_[static_cast<size_t>(u)] == kNone || f <= 0.0) continue;
+      const int32_t i = SupplierOf(u);
+      const int32_t j = ConsumerOf(u);
+      plan->flows.push_back({i, j, f});
+      plan->total_cost += f * problem_.Cost(i, j);
     }
     return true;
   }
 
  private:
-  int32_t NodeOfSupplier(int32_t i) const { return i; }
-  int32_t NodeOfConsumer(int32_t j) const { return S_ + j; }
-
-  void AttachArc(int32_t arc_id) {
-    const BasicArc& a = basis_[static_cast<size_t>(arc_id)];
-    adj_[static_cast<size_t>(NodeOfSupplier(a.i))].push_back(arc_id);
-    adj_[static_cast<size_t>(NodeOfConsumer(a.j))].push_back(arc_id);
+  // Endpoints of the tree arc stored at non-root node `u`.
+  int32_t SupplierOf(int32_t u) const {
+    return u < S_ ? u : parent_[static_cast<size_t>(u)];
+  }
+  int32_t ConsumerOf(int32_t u) const {
+    return (u < S_ ? parent_[static_cast<size_t>(u)] : u) - S_;
   }
 
-  void DetachArc(int32_t arc_id) {
-    const BasicArc& a = basis_[static_cast<size_t>(arc_id)];
-    auto remove_from = [&](int32_t node) {
-      auto& lst = adj_[static_cast<size_t>(node)];
-      lst.erase(std::find(lst.begin(), lst.end(), arc_id));
-    };
-    remove_from(NodeOfSupplier(a.i));
-    remove_from(NodeOfConsumer(a.j));
+  // Potential of non-root `u` that zeroes the reduced cost of its tree
+  // arc: u_i = c_ij - v_j for a supplier, v_j = c_ij - u_i for a consumer.
+  double TreePotential(int32_t u) const {
+    return problem_.Cost(SupplierOf(u), ConsumerOf(u)) -
+           pi_[static_cast<size_t>(parent_[static_cast<size_t>(u)])];
+  }
+
+  void LinkChild(int32_t u, int32_t parent) {
+    const auto su = static_cast<size_t>(u);
+    const int32_t head = first_child_[static_cast<size_t>(parent)];
+    parent_[su] = parent;
+    prev_sibling_[su] = kNone;
+    next_sibling_[su] = head;
+    if (head != kNone) prev_sibling_[static_cast<size_t>(head)] = u;
+    first_child_[static_cast<size_t>(parent)] = u;
+  }
+
+  void UnlinkChild(int32_t u) {
+    const auto su = static_cast<size_t>(u);
+    const int32_t prev = prev_sibling_[su];
+    const int32_t next = next_sibling_[su];
+    if (prev != kNone) {
+      next_sibling_[static_cast<size_t>(prev)] = next;
+    } else {
+      first_child_[static_cast<size_t>(parent_[su])] = next;
+    }
+    if (next != kNone) prev_sibling_[static_cast<size_t>(next)] = prev;
   }
 
   // Northwest-corner initial basic feasible solution with exactly
   // S + T - 1 basic arcs (degenerate zero arcs are inserted on ties). The
   // walk always reaches cell (S-1, T-1), so floating-point imbalance dust
-  // cannot truncate the basis below tree size.
-  void BuildInitialBasis() {
-    adj_.assign(static_cast<size_t>(S_ + T_), {});
+  // cannot truncate the basis below tree size. The tree is rooted at
+  // supplier 0; each step hangs the newly reached line under the line it
+  // shares the cell with.
+  void BuildInitialTree() {
+    const auto n = static_cast<size_t>(S_ + T_);
+    parent_.assign(n, kNone);
+    first_child_.assign(n, kNone);
+    next_sibling_.assign(n, kNone);
+    prev_sibling_.assign(n, kNone);
+    depth_.assign(n, 0);
+    flow_.assign(n, 0.0);
+    pi_.assign(n, 0.0);
     std::vector<double> rs = problem_.supplies();
     std::vector<double> rd = problem_.demands();
     int32_t i = 0, j = 0;
+    int32_t prev = 0, reached = S_;  // Cell (0, 0) reaches consumer 0.
     while (true) {
       const double x = std::min(rs[static_cast<size_t>(i)],
                                 rd[static_cast<size_t>(j)]);
-      basis_.push_back({i, j, x, true});
-      AttachArc(static_cast<int32_t>(basis_.size()) - 1);
+      LinkChild(reached, prev);
+      flow_[static_cast<size_t>(reached)] = x;
+      depth_[static_cast<size_t>(reached)] =
+          depth_[static_cast<size_t>(prev)] + 1;
+      pi_[static_cast<size_t>(reached)] = TreePotential(reached);
       // Subtracting the exact minimum zeroes at least one side exactly.
       rs[static_cast<size_t>(i)] -= x;
       rd[static_cast<size_t>(j)] -= x;
@@ -112,166 +131,31 @@ class Simplex {
         advance_i = rs[static_cast<size_t>(i)] <= 0.0;
       }
       if (advance_i) {
-        ++i;
+        prev = S_ + j;
+        reached = ++i;
       } else {
-        ++j;
-      }
-    }
-    SND_CHECK(static_cast<int32_t>(basis_.size()) == S_ + T_ - 1);
-  }
-
-  // Vogel's approximation method: repeatedly allocate at the cheapest
-  // cell of the line (row or column) with the largest regret - the gap
-  // between its two smallest open costs. Exactly one line closes per
-  // allocation (both on the final one), which keeps the chosen cells a
-  // spanning tree of size S + T - 1, like the northwest-corner walk.
-  void BuildInitialBasisVogel() {
-    adj_.assign(static_cast<size_t>(S_ + T_), {});
-    std::vector<double> rs = problem_.supplies();
-    std::vector<double> rd = problem_.demands();
-    std::vector<char> row_open(static_cast<size_t>(S_), 1);
-    std::vector<char> col_open(static_cast<size_t>(T_), 1);
-    int32_t open_rows = S_, open_cols = T_;
-
-    // Regret of an open line: difference between its two smallest open
-    // costs (or the single cost if only one line remains on the other
-    // side); returns the arg-min cell as well.
-    auto row_regret = [&](int32_t i, int32_t* best_j) {
-      double min1 = kInf, min2 = kInf;
-      for (int32_t j = 0; j < T_; ++j) {
-        if (!col_open[static_cast<size_t>(j)]) continue;
-        const double c = problem_.Cost(i, j);
-        if (c < min1) {
-          min2 = min1;
-          min1 = c;
-          *best_j = j;
-        } else if (c < min2) {
-          min2 = c;
-        }
-      }
-      return min2 == kInf ? min1 : min2 - min1;
-    };
-    auto col_regret = [&](int32_t j, int32_t* best_i) {
-      double min1 = kInf, min2 = kInf;
-      for (int32_t i = 0; i < S_; ++i) {
-        if (!row_open[static_cast<size_t>(i)]) continue;
-        const double c = problem_.Cost(i, j);
-        if (c < min1) {
-          min2 = min1;
-          min1 = c;
-          *best_i = i;
-        } else if (c < min2) {
-          min2 = c;
-        }
-      }
-      return min2 == kInf ? min1 : min2 - min1;
-    };
-
-    while (open_rows > 0 && open_cols > 0) {
-      // Pick the open line with the largest regret.
-      double best_regret = -1.0;
-      int32_t pick_i = -1, pick_j = -1;
-      for (int32_t i = 0; i < S_; ++i) {
-        if (!row_open[static_cast<size_t>(i)]) continue;
-        int32_t j = -1;
-        const double regret = row_regret(i, &j);
-        if (regret > best_regret) {
-          best_regret = regret;
-          pick_i = i;
-          pick_j = j;
-        }
-      }
-      for (int32_t j = 0; j < T_; ++j) {
-        if (!col_open[static_cast<size_t>(j)]) continue;
-        int32_t i = -1;
-        const double regret = col_regret(j, &i);
-        if (regret > best_regret) {
-          best_regret = regret;
-          pick_i = i;
-          pick_j = j;
-        }
-      }
-      SND_CHECK(pick_i >= 0 && pick_j >= 0);
-
-      const double x = std::min(rs[static_cast<size_t>(pick_i)],
-                                rd[static_cast<size_t>(pick_j)]);
-      basis_.push_back({pick_i, pick_j, x, true});
-      AttachArc(static_cast<int32_t>(basis_.size()) - 1);
-      rs[static_cast<size_t>(pick_i)] -= x;
-      rd[static_cast<size_t>(pick_j)] -= x;
-
-      if (open_rows == 1 && open_cols == 1) {
-        row_open[static_cast<size_t>(pick_i)] = 0;
-        col_open[static_cast<size_t>(pick_j)] = 0;
-        open_rows = open_cols = 0;
-        break;
-      }
-      // Close exactly one line: the exhausted one; on ties keep the side
-      // that would otherwise run out of lines.
-      const bool row_done = rs[static_cast<size_t>(pick_i)] <= 0.0;
-      const bool col_done = rd[static_cast<size_t>(pick_j)] <= 0.0;
-      bool close_row;
-      if (row_done && col_done) {
-        close_row = open_rows > 1;
-      } else if (row_done) {
-        close_row = open_rows > 1 || open_cols == 1;
-      } else {
-        close_row = !(open_cols > 1 || open_rows == 1);
-      }
-      if (close_row) {
-        rs[static_cast<size_t>(pick_i)] = 0.0;
-        row_open[static_cast<size_t>(pick_i)] = 0;
-        --open_rows;
-      } else {
-        rd[static_cast<size_t>(pick_j)] = 0.0;
-        col_open[static_cast<size_t>(pick_j)] = 0;
-        --open_cols;
-      }
-    }
-    SND_CHECK(static_cast<int32_t>(basis_.size()) == S_ + T_ - 1);
-  }
-
-  // Duals from the basis tree: u_i + v_j = c_ij on basic arcs, u_0 = 0.
-  void ComputeDuals() {
-    u_.assign(static_cast<size_t>(S_), kInf);
-    v_.assign(static_cast<size_t>(T_), kInf);
-    stack_.clear();
-    u_[0] = 0.0;
-    stack_.push_back(NodeOfSupplier(0));
-    while (!stack_.empty()) {
-      const int32_t node = stack_.back();
-      stack_.pop_back();
-      for (int32_t arc_id : adj_[static_cast<size_t>(node)]) {
-        const BasicArc& a = basis_[static_cast<size_t>(arc_id)];
-        const double c = problem_.Cost(a.i, a.j);
-        if (node < S_) {
-          if (v_[static_cast<size_t>(a.j)] == kInf) {
-            v_[static_cast<size_t>(a.j)] = c - u_[static_cast<size_t>(a.i)];
-            stack_.push_back(NodeOfConsumer(a.j));
-          }
-        } else {
-          if (u_[static_cast<size_t>(a.i)] == kInf) {
-            u_[static_cast<size_t>(a.i)] = c - v_[static_cast<size_t>(a.j)];
-            stack_.push_back(NodeOfSupplier(a.i));
-          }
-        }
+        prev = i;
+        reached = S_ + ++j;
       }
     }
   }
 
-  // Block-pricing scan for the most negative reduced cost. Rows are
-  // scanned starting from a rotating cursor; the scan stops early once a
-  // block of rows containing a violation has been examined.
+  // Block pricing for the most negative reduced cost. Rows are scanned
+  // from a rotating cursor through CostRow pointers; the scan stops once
+  // a block of rows holding a violation has been examined. A full pass
+  // without a violation proves optimality.
   bool FindEnteringArc(double tol, int32_t* ei, int32_t* ej) {
     const int32_t block = std::max<int32_t>(8, S_ / 16);
+    const double* v = pi_.data() + S_;
     double best = -tol;
-    int32_t rows_since_found = 0;
     bool found = false;
+    int32_t rows_since_found = 0;
+    int32_t i = cursor_;
     for (int32_t scanned = 0; scanned < S_; ++scanned) {
-      const int32_t i = static_cast<int32_t>((scan_cursor_ + scanned) % S_);
-      const double ui = u_[static_cast<size_t>(i)];
+      const double* row = problem_.CostRow(i);
+      const double ui = pi_[static_cast<size_t>(i)];
       for (int32_t j = 0; j < T_; ++j) {
-        const double rc = problem_.Cost(i, j) - ui - v_[static_cast<size_t>(j)];
+        const double rc = row[j] - ui - v[j];
         if (rc < best) {
           best = rc;
           *ei = i;
@@ -279,99 +163,119 @@ class Simplex {
           found = true;
         }
       }
+      if (++i == S_) i = 0;
       if (found && ++rows_since_found >= block) break;
     }
-    if (found) scan_cursor_ = (*ei + 1) % std::max(S_, 1);
+    if (found) cursor_ = (*ei + 1 == S_) ? 0 : *ei + 1;
     return found;
   }
 
-  // Finds the unique tree path from supplier `ei` to consumer `ej`,
-  // alternates +/- flow around the cycle closed by the entering arc, and
-  // swaps the leaving arc out of the basis.
+  // Pushes flow around the cycle closed by entering arc (ei, ej), drops the
+  // leaving arc and re-hangs the subtree it cut off under the entering arc.
   void Pivot(int32_t ei, int32_t ej) {
-    // BFS over the basis tree recording the arc used to reach each node.
-    parent_arc_.assign(static_cast<size_t>(S_ + T_), -1);
-    parent_node_.assign(static_cast<size_t>(S_ + T_), -1);
-    stack_.clear();
-    const int32_t start = NodeOfSupplier(ei);
-    const int32_t goal = NodeOfConsumer(ej);
-    stack_.push_back(start);
-    parent_node_[static_cast<size_t>(start)] = start;
-    while (!stack_.empty()) {
-      const int32_t node = stack_.back();
-      stack_.pop_back();
-      if (node == goal) break;
-      for (int32_t arc_id : adj_[static_cast<size_t>(node)]) {
-        const BasicArc& a = basis_[static_cast<size_t>(arc_id)];
-        const int32_t other = (node < S_) ? NodeOfConsumer(a.j)
-                                          : NodeOfSupplier(a.i);
-        if (parent_node_[static_cast<size_t>(other)] < 0) {
-          parent_node_[static_cast<size_t>(other)] = node;
-          parent_arc_[static_cast<size_t>(other)] = arc_id;
-          stack_.push_back(other);
-        }
-      }
-    }
-    SND_CHECK(parent_node_[static_cast<size_t>(goal)] >= 0);
-
-    // Walk goal -> start. The entering arc (start -> goal) carries +delta;
-    // tree arcs alternate starting with - at the goal side: an arc whose
-    // deeper endpoint is a consumer lies "with" the entering direction
-    // (+), one whose deeper endpoint is a supplier lies against it (-).
-    // Equivalently: arcs reached while standing on a consumer node get -,
-    // arcs reached from a supplier node get +.
-    cycle_arcs_.clear();
-    cycle_signs_.clear();
-    int32_t node = goal;
-    while (node != start) {
-      const int32_t arc_id = parent_arc_[static_cast<size_t>(node)];
-      cycle_arcs_.push_back(arc_id);
-      cycle_signs_.push_back(node >= S_ ? -1 : +1);
-      node = parent_node_[static_cast<size_t>(node)];
-    }
-
-    // Leaving arc: minimum flow among the minus-arcs.
-    double delta = kInf;
-    int32_t leaving = -1;
-    for (size_t k = 0; k < cycle_arcs_.size(); ++k) {
-      if (cycle_signs_[k] < 0) {
-        const double f = basis_[static_cast<size_t>(cycle_arcs_[k])].flow;
-        if (f <= delta) {  // '<=': prefer the last tie for determinism.
-          delta = f;
-          leaving = cycle_arcs_[k];
-        }
-      }
-    }
-    SND_CHECK(leaving >= 0);
-
-    for (size_t k = 0; k < cycle_arcs_.size(); ++k) {
-      BasicArc& a = basis_[static_cast<size_t>(cycle_arcs_[k])];
-      if (cycle_signs_[k] < 0) {
-        a.flow = (a.flow <= delta) ? 0.0 : a.flow - delta;
+    const int32_t a = ei;       // Tail of the entering arc.
+    const int32_t b = S_ + ej;  // Head of the entering arc.
+    int32_t apex_a = a, apex_b = b;
+    while (apex_a != apex_b) {
+      if (depth_[static_cast<size_t>(apex_a)] >=
+          depth_[static_cast<size_t>(apex_b)]) {
+        apex_a = parent_[static_cast<size_t>(apex_a)];
       } else {
-        a.flow += delta;
+        apex_b = parent_[static_cast<size_t>(apex_b)];
       }
     }
+    const int32_t apex = apex_a;
 
-    // Swap leaving for entering.
-    DetachArc(leaving);
-    basis_[static_cast<size_t>(leaving)].active = false;
-    basis_.push_back({ei, ej, delta == kInf ? 0.0 : delta, true});
-    AttachArc(static_cast<int32_t>(basis_.size()) - 1);
+    // The cycle runs a -> b -> ... -> apex -> ... -> a. On the a side the
+    // flow runs parent -> child, against the arc when the child is a
+    // supplier; on the b side it runs child -> parent, against the arc
+    // when the child is a consumer. Those arcs lose flow. Strongly
+    // feasible tie rule: the last blocking arc met walking the cycle from
+    // the apex, i.e. nearest a on the a side ('<'), nearest the apex on
+    // the b side ('<=').
+    double delta = kInf;
+    int32_t out = kNone;
+    bool out_on_a_side = true;
+    for (int32_t u = a; u != apex; u = parent_[static_cast<size_t>(u)]) {
+      if (u < S_ && flow_[static_cast<size_t>(u)] < delta) {
+        delta = flow_[static_cast<size_t>(u)];
+        out = u;
+      }
+    }
+    for (int32_t u = b; u != apex; u = parent_[static_cast<size_t>(u)]) {
+      if (u >= S_ && flow_[static_cast<size_t>(u)] <= delta) {
+        delta = flow_[static_cast<size_t>(u)];
+        out = u;
+        out_on_a_side = false;
+      }
+    }
+    SND_CHECK(out != kNone);
+
+    if (delta > 0.0) {
+      auto push = [&](int32_t from, bool loses_if_supplier) {
+        for (int32_t u = from; u != apex; u = parent_[static_cast<size_t>(u)]) {
+          double& f = flow_[static_cast<size_t>(u)];
+          if ((u < S_) == loses_if_supplier) {
+            f = (f <= delta) ? 0.0 : f - delta;
+          } else {
+            f += delta;
+          }
+        }
+      };
+      push(a, /*loses_if_supplier=*/true);
+      push(b, /*loses_if_supplier=*/false);
+    }
+
+    // Re-root the cut-off subtree at the entering endpoint inside it by
+    // reversing its tree path up to `out`; each reversed arc moves its
+    // flow to its new child. Then hang it under the other endpoint.
+    const int32_t root = out_on_a_side ? a : b;
+    int32_t u = root;
+    int32_t new_parent = out_on_a_side ? b : a;
+    double new_flow = delta;
+    while (true) {
+      const int32_t old_parent = parent_[static_cast<size_t>(u)];
+      const double old_flow = flow_[static_cast<size_t>(u)];
+      UnlinkChild(u);
+      LinkChild(u, new_parent);
+      flow_[static_cast<size_t>(u)] = new_flow;
+      if (u == out) break;
+      new_parent = u;
+      new_flow = old_flow;
+      u = old_parent;
+    }
+    UpdateSubtree(root);
+  }
+
+  // Recomputes depth and potential of every node under `root`, each after
+  // its parent, by a stackless pre-order walk of the child lists.
+  void UpdateSubtree(int32_t root) {
+    int32_t u = root;
+    while (true) {
+      const auto su = static_cast<size_t>(u);
+      depth_[su] = depth_[static_cast<size_t>(parent_[su])] + 1;
+      pi_[su] = TreePotential(u);
+      if (first_child_[su] != kNone) {
+        u = first_child_[su];
+        continue;
+      }
+      while (u != root && next_sibling_[static_cast<size_t>(u)] == kNone) {
+        u = parent_[static_cast<size_t>(u)];
+      }
+      if (u == root) return;
+      u = next_sibling_[static_cast<size_t>(u)];
+    }
   }
 
   const TransportProblem& problem_;
-  const SimplexOptions options_;
   const int32_t S_;
   const int32_t T_;
-  std::vector<BasicArc> basis_;
-  std::vector<std::vector<int32_t>> adj_;  // Node -> incident basic arc ids.
-  std::vector<double> u_, v_;
-  std::vector<int32_t> stack_;
-  std::vector<int32_t> parent_arc_, parent_node_;
-  std::vector<int32_t> cycle_arcs_;
-  std::vector<int8_t> cycle_signs_;
-  int64_t scan_cursor_ = 0;
+  std::vector<int32_t> parent_;  // kNone at the root (supplier 0).
+  std::vector<int32_t> first_child_, next_sibling_, prev_sibling_;
+  std::vector<int32_t> depth_;
+  std::vector<double> flow_;  // Flow on the arc to the parent.
+  std::vector<double> pi_;    // u_i at node i, v_j at node S + j.
+  int32_t cursor_ = 0;  // Row the next pricing scan starts at.
 };
 
 }  // namespace
@@ -382,7 +286,7 @@ TransportPlan SimplexSolver::Solve(const TransportProblem& problem) const {
       problem.total_mass() <= 0.0) {
     return plan;
   }
-  Simplex simplex(problem, options_);
+  Simplex simplex(problem);
   if (simplex.Run(&plan)) return plan;
   // Pivot cap exceeded (possible only under degenerate cycling); the SSP
   // solver is slower but unconditionally exact.

@@ -1,7 +1,17 @@
-// Transportation simplex (MODI / u-v method) with a northwest-corner
-// initial basis and block pricing. The default solver: on the dense
-// instances produced by EMD it typically needs O(S + T) pivots, each
-// costing O(S + T) for the dual recomputation plus a bounded pricing scan.
+// Network simplex on the transportation graph (suppliers -> consumers,
+// uncapacitated) with a northwest-corner initial basis. The default
+// solver.
+//
+// The basis is a spanning tree of the S + T nodes rooted at supplier 0;
+// every node keeps its parent, the flow on the arc to its parent, its
+// depth, its potential and doubly linked child lists. A pivot costs one
+// pricing block (the rows scanned from a rotating cursor until
+// max(8, S / 16) rows past the first violation, read through
+// TransportProblem::CostRow), plus the cycle closed by the entering arc
+// (found by climbing to the apex by depth; flows change only there), plus
+// the subtree cut off by the leaving arc (re-hung under the entering arc;
+// potentials and depths are recomputed only there, from the tree arcs, so
+// they never drift). No pivot touches the rest of the tree or allocates.
 //
 // Degenerate pivots are permitted; an iteration cap guards against the
 // (rare) possibility of cycling, falling back to the exact SSP solver if
@@ -13,29 +23,10 @@
 
 namespace snd {
 
-struct SimplexOptions {
-  enum class InitialBasis {
-    // Northwest corner: O(S + T), cost-oblivious.
-    kNorthwest,
-    // Vogel's approximation: allocates by largest regret, giving a much
-    // better starting basis at O((S + T) * S * T) setup cost. Falls back
-    // to northwest corner on instances larger than vogel_cell_limit
-    // cells.
-    kVogel,
-  };
-  InitialBasis initial_basis = InitialBasis::kNorthwest;
-  int64_t vogel_cell_limit = 1 << 20;
-};
-
 class SimplexSolver final : public TransportSolver {
  public:
-  explicit SimplexSolver(SimplexOptions options = {}) : options_(options) {}
-
   TransportPlan Solve(const TransportProblem& problem) const override;
   const char* name() const override { return "simplex"; }
-
- private:
-  SimplexOptions options_;
 };
 
 }  // namespace snd

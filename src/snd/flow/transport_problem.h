@@ -45,6 +45,14 @@ class TransportProblem {
                  static_cast<size_t>(j)];
   }
 
+  // Row `i` of the cost matrix: num_consumers() contiguous entries, so
+  // CostRow(i)[j] == Cost(i, j) without the per-entry index arithmetic.
+  const double* CostRow(int32_t i) const {
+    SND_DCHECK(0 <= i && i < num_suppliers());
+    return cost_.data() +
+           static_cast<size_t>(i) * static_cast<size_t>(num_consumers());
+  }
+
   double total_mass() const { return total_supply_; }
 
   // Largest cost entry; 0 for an empty matrix.

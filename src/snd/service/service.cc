@@ -984,16 +984,18 @@ StatusOr<Response> SndService::ComputeLocked(const Request& request,
   if (distance != nullptr) {
     for (const int32_t index : {distance->i, distance->j}) {
       if (index < 0 || index < first || index >= first + num_states) {
-        if (first == 0) {  // Legacy message, pinned by tests.
-          return Status::InvalidArgument(
-              "state index '" + std::to_string(index) +
-              "' out of range (have " + std::to_string(num_states) +
-              " states)");
-        }
-        return Status::InvalidArgument(
-            "state index '" + std::to_string(index) +
-            "' outside retained window [" + std::to_string(first) + ", " +
-            std::to_string(first + num_states) + ")");
+        const std::string message =
+            first == 0  // Legacy message, pinned by tests.
+                ? "state index '" + std::to_string(index) +
+                      "' out of range (have " + std::to_string(num_states) +
+                      " states)"
+                : "state index '" + std::to_string(index) +
+                      "' outside retained window [" + std::to_string(first) +
+                      ", " + std::to_string(first + num_states) + ")";
+        // With no states loaded the session, not the index, is at fault,
+        // as for series/matrix/anomalies below.
+        return num_states == 0 ? Status::FailedPrecondition(message)
+                               : Status::InvalidArgument(message);
       }
     }
   } else if (num_states < 2) {

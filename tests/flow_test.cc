@@ -1,5 +1,7 @@
 #include <cmath>
 #include <memory>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -267,45 +269,131 @@ TEST_P(RealMassAgreementTest, SimplexMatchesSsp) {
 INSTANTIATE_TEST_SUITE_P(Random, RealMassAgreementTest,
                          ::testing::Range(0, 40));
 
+// SND-shaped instances (Theorem 4's reduced problem): unit rows against a
+// few unit consumers plus many fractional bank bins, in both orientations,
+// plus integer-tie and single-line instances. The simplex must produce a
+// valid plan, match SSP, be bitwise repeatable and agree with the
+// transposed problem.
+enum class SndShape {
+  kUnitRowsWide,   // S << T: banks join the demand side.
+  kUnitRowsTall,   // S >> T: banks join the supply side.
+  kIntegerTies,    // Unit rows, integer demands, costs in {0..3}.
+  kSingleRow,      // 1 x T.
+  kSingleColumn,   // S x 1.
+};
 
-// Vogel initialization: same optima as the default northwest-corner
-// basis, across random instances.
-class VogelInitTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(VogelInitTest, MatchesNorthwestOptimum) {
-  Rng rng(1400 + static_cast<uint64_t>(GetParam()));
-  const int32_t s = 2 + static_cast<int32_t>(rng.UniformInt(0, 10));
-  const int32_t t = 2 + static_cast<int32_t>(rng.UniformInt(0, 10));
-  std::vector<double> supply(static_cast<size_t>(s));
-  std::vector<double> demand(static_cast<size_t>(t), 0.0);
-  double total = 0.0;
-  for (auto& v : supply) {
-    v = static_cast<double>(rng.UniformInt(0, 12));
-    total += v;
-  }
-  double remaining = total;
-  for (int32_t j = 0; j + 1 < t; ++j) {
-    const double d = std::floor(rng.UniformReal() * remaining);
-    demand[static_cast<size_t>(j)] = d;
-    remaining -= d;
-  }
-  demand[static_cast<size_t>(t - 1)] = remaining;
+TransportProblem Transpose(const TransportProblem& p) {
+  const int32_t s = p.num_suppliers();
+  const int32_t t = p.num_consumers();
   std::vector<double> cost(static_cast<size_t>(s) * static_cast<size_t>(t));
-  for (auto& c : cost) c = static_cast<double>(rng.UniformInt(0, 40));
-  const TransportProblem p(std::move(supply), std::move(demand),
-                           std::move(cost));
-
-  SimplexOptions vogel;
-  vogel.initial_basis = SimplexOptions::InitialBasis::kVogel;
-  const TransportPlan vogel_plan = SimplexSolver(vogel).Solve(p);
-  const TransportPlan nw_plan = SimplexSolver().Solve(p);
-  std::string error;
-  EXPECT_TRUE(ValidatePlan(p, vogel_plan, &error)) << error;
-  EXPECT_NEAR(vogel_plan.total_cost, nw_plan.total_cost,
-              1e-9 * (1.0 + nw_plan.total_cost));
+  for (int32_t i = 0; i < s; ++i) {
+    for (int32_t j = 0; j < t; ++j) {
+      cost[static_cast<size_t>(j) * static_cast<size_t>(s) +
+           static_cast<size_t>(i)] = p.Cost(i, j);
+    }
+  }
+  return TransportProblem(p.demands(), p.supplies(), std::move(cost));
 }
 
-INSTANTIATE_TEST_SUITE_P(Random, VogelInitTest, ::testing::Range(0, 30));
+// `rows` unit suppliers against `cols` unit consumers plus `banks` bank
+// bins sharing the remaining rows - cols mass. Regular costs are small
+// integer path lengths; a bank costs its gamma plus the row's integer
+// distance to the bank's cluster, so the banks of one cluster differ only
+// by gamma.
+TransportProblem UnitRowsAgainstBanks(int32_t rows, int32_t cols,
+                                      int32_t banks, Rng* rng) {
+  constexpr int32_t kBanksPerCluster = 5;
+  const int32_t clusters = (banks + kBanksPerCluster - 1) / kBanksPerCluster;
+  const int32_t t = cols + banks;
+  std::vector<double> supply(static_cast<size_t>(rows), 1.0);
+  std::vector<double> demand(static_cast<size_t>(cols), 1.0);
+  demand.resize(static_cast<size_t>(t),
+                static_cast<double>(rows - cols) / banks);
+  std::vector<double> cost(static_cast<size_t>(rows) * static_cast<size_t>(t));
+  std::vector<double> cluster_dist(static_cast<size_t>(clusters));
+  for (int32_t i = 0; i < rows; ++i) {
+    double* row = cost.data() + static_cast<size_t>(i) * static_cast<size_t>(t);
+    for (int32_t j = 0; j < cols; ++j) {
+      row[j] = static_cast<double>(rng->UniformInt(1, 12));
+    }
+    for (auto& d : cluster_dist) d = static_cast<double>(rng->UniformInt(0, 8));
+    for (int32_t k = 0; k < banks; ++k) {
+      row[cols + k] = 0.25 * (1 + k % kBanksPerCluster) +
+                      cluster_dist[static_cast<size_t>(k / kBanksPerCluster)];
+    }
+  }
+  return TransportProblem(std::move(supply), std::move(demand),
+                          std::move(cost));
+}
+
+TransportProblem MakeSndShaped(SndShape shape, Rng* rng) {
+  switch (shape) {
+    case SndShape::kUnitRowsWide:
+      return UnitRowsAgainstBanks(40, 10, 150, rng);
+    case SndShape::kUnitRowsTall:
+      return Transpose(UnitRowsAgainstBanks(40, 10, 150, rng));
+    case SndShape::kIntegerTies: {
+      const int32_t s = 20 + static_cast<int32_t>(rng->UniformInt(0, 20));
+      const int32_t t = 10 + static_cast<int32_t>(rng->UniformInt(0, 20));
+      std::vector<double> supply(static_cast<size_t>(s), 1.0);
+      std::vector<double> demand(static_cast<size_t>(t), 0.0);
+      for (int32_t k = 0; k < s; ++k) {
+        demand[static_cast<size_t>(rng->UniformInt(0, t - 1))] += 1.0;
+      }
+      std::vector<double> cost(static_cast<size_t>(s) *
+                               static_cast<size_t>(t));
+      for (auto& c : cost) c = static_cast<double>(rng->UniformInt(0, 3));
+      return TransportProblem(std::move(supply), std::move(demand),
+                              std::move(cost));
+    }
+    case SndShape::kSingleRow:
+      return UnitRowsAgainstBanks(1, 0, 40, rng);
+    case SndShape::kSingleColumn:
+      return Transpose(UnitRowsAgainstBanks(1, 0, 40, rng));
+  }
+  return {};
+}
+
+std::string SndShapeTestName(
+    const ::testing::TestParamInfo<std::tuple<SndShape, int>>& info) {
+  static constexpr const char* kNames[] = {"unit_rows_wide", "unit_rows_tall",
+                                           "integer_ties", "single_row",
+                                           "single_column"};
+  return std::string(kNames[static_cast<int>(std::get<0>(info.param))]) +
+         "_" + std::to_string(std::get<1>(info.param));
+}
+
+class SndShapedSimplexTest
+    : public ::testing::TestWithParam<std::tuple<SndShape, int>> {};
+
+TEST_P(SndShapedSimplexTest, ValidMatchesSspRepeatableAndTransposable) {
+  const auto [shape, seed] = GetParam();
+  Rng rng(2000 + static_cast<uint64_t>(seed));
+  const TransportProblem p = MakeSndShaped(shape, &rng);
+  const SimplexSolver simplex;
+
+  const TransportPlan plan = simplex.Solve(p);
+  std::string error;
+  EXPECT_TRUE(ValidatePlan(p, plan, &error)) << error;
+  const double ssp = SspSolver().Solve(p).total_cost;
+  EXPECT_NEAR(plan.total_cost, ssp, 1e-9 * std::abs(ssp));
+  EXPECT_EQ(simplex.Solve(p).total_cost, plan.total_cost);  // Bitwise.
+
+  const TransportProblem transposed = Transpose(p);
+  const TransportPlan transposed_plan = simplex.Solve(transposed);
+  EXPECT_TRUE(ValidatePlan(transposed, transposed_plan, &error)) << error;
+  EXPECT_NEAR(transposed_plan.total_cost, plan.total_cost,
+              1e-9 * std::abs(plan.total_cost));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, SndShapedSimplexTest,
+    ::testing::Combine(
+        ::testing::Values(SndShape::kUnitRowsWide, SndShape::kUnitRowsTall,
+                          SndShape::kIntegerTies, SndShape::kSingleRow,
+                          SndShape::kSingleColumn),
+        ::testing::Range(0, 6)),
+    SndShapeTestName);
 
 }  // namespace
 }  // namespace snd
