@@ -9,6 +9,7 @@
 #include "bench_common.h"
 #include "snd/core/snd.h"
 #include "snd/graph/generators.h"
+#include "snd/obs/trace.h"
 #include "snd/opinion/evolution.h"
 #include "snd/util/stopwatch.h"
 #include "snd/util/table.h"
@@ -38,24 +39,34 @@ int main() {
   snd::SyntheticEvolution evolution(&graph, 52);
   const snd::NetworkState base = evolution.InitialState(num_nodes / 10);
 
-  snd::TablePrinter table({"n_delta", "total s", "sssp s", "transport s"});
+  snd::TablePrinter table(
+      {"n_delta", "total s", "sssp work s", "transport work s"});
   for (int32_t n_delta : deltas) {
     const snd::NetworkState next =
         snd::RandomTransition(base, n_delta, evolution.rng());
+    // The phase split comes from the request trace the library reports
+    // into, as the server's does. Phase times sum per-thread work (see
+    // "Phase semantics" in obs/trace.h): the four terms run in parallel,
+    // so the two columns can together exceed the wall-clock total.
+    snd::obs::RequestTrace trace;
     snd::Stopwatch watch;
-    const snd::SndResult result = calculator.Compute(base, next);
-    const double seconds = watch.ElapsedSeconds();
-    double sssp = 0.0, transport = 0.0;
-    for (const snd::SndTermResult& term : result.terms) {
-      sssp += term.sssp_seconds;
-      transport += term.transport_seconds;
+    {
+      const snd::obs::TraceScope scope(&trace);
+      calculator.Compute(base, next);
     }
+    const double seconds = watch.ElapsedSeconds();
+    const auto phase_seconds = [&](snd::obs::ObsPhase phase) {
+      return 1e-9 * static_cast<double>(
+                        trace.phase_ns[static_cast<int>(phase)].load());
+    };
+    const double sssp = phase_seconds(snd::obs::ObsPhase::kSssp);
+    const double transport = phase_seconds(snd::obs::ObsPhase::kTransport);
     table.AddRow({snd::TablePrinter::Fmt(int64_t{n_delta}),
                   snd::TablePrinter::Fmt(seconds, 3),
                   snd::TablePrinter::Fmt(sssp, 3),
                   snd::TablePrinter::Fmt(transport, 3)});
-    std::printf("n_delta=%-6d %.3fs (sssp %.3f, transport %.3f)\n", n_delta,
-                seconds, sssp, transport);
+    std::printf("n_delta=%-6d %.3fs (sssp work %.3f, transport work %.3f)\n",
+                n_delta, seconds, sssp, transport);
   }
   std::printf("\n");
   table.Print();

@@ -9,6 +9,7 @@
 #include "snd/core/snd.h"
 #include "snd/graph/generators.h"
 #include "snd/opinion/evolution.h"
+#include "snd/util/stopwatch.h"
 #include "snd/util/table.h"
 
 int main() {
@@ -34,10 +35,11 @@ int main() {
     snd::SndOptions options;
     options.model = kind;
     const snd::SndCalculator calculator(&graph, options);
+    const snd::Stopwatch watch;
     const snd::SndResult result = calculator.Compute(before, after);
     models.AddRow({snd::GroundModelKindName(kind),
                    snd::TablePrinter::Fmt(result.value, 2),
-                   snd::TablePrinter::Fmt(result.total_seconds, 4)});
+                   snd::TablePrinter::Fmt(watch.ElapsedSeconds(), 4)});
   }
   models.Print();
 
@@ -53,10 +55,11 @@ int main() {
       options.apportionment = snd::BankApportionment::kLargestRemainder;
     }
     const snd::SndCalculator calculator(&graph, options);
+    const snd::Stopwatch watch;
     const snd::SndResult result = calculator.Compute(before, after);
     solvers.AddRow({snd::TransportAlgorithmName(algorithm),
                     snd::TablePrinter::Fmt(result.value, 2),
-                    snd::TablePrinter::Fmt(result.total_seconds, 4)});
+                    snd::TablePrinter::Fmt(watch.ElapsedSeconds(), 4)});
   }
   solvers.Print();
   std::printf(

@@ -15,7 +15,6 @@
 #include <variant>
 #include <vector>
 
-#include "snd/core/snd.h"  // SndWorkCounters.
 #include "snd/obs/metrics.h"  // MetricRow.
 #include "snd/opinion/distance_types.h"  // StatePairs.
 
@@ -63,6 +62,26 @@ struct AnomaliesResponse {
   // t+1) of rank r, scores[r] its anomaly score.
   std::vector<int32_t> transitions;
   std::vector<double> scores;
+};
+
+// Cumulative work of a service: the registry's snd.work.* counters,
+// folded from each request's trace. `info` prints them on its work row,
+// and the service tests diff two snapshots to prove a warm request did
+// no graph work. They count calculator-level work only; SSSPs the ICC
+// model runs internally while costing edges show up as
+// edge_cost_builds, not sssp_runs.
+struct SndWorkCounters {
+  // Single-source shortest-path searches executed (term rows, reference
+  // matrix rows, mutation certificates).
+  int64_t sssp_runs = 0;
+  // Transportation problems handed to the flow solver.
+  int64_t transport_solves = 0;
+  // Per-(state, opinion) edge costings (model ComputeEdgeCosts calls).
+  int64_t edge_cost_builds = 0;
+  // Per-(state, opinion) incremental edge costings carried across a graph
+  // mutation (model PatchEdgeCosts calls); O(m) copies instead of full
+  // model evaluations, so they are counted separately from builds.
+  int64_t edge_cost_patches = 0;
 };
 
 // The `info` snapshot. Ordering is part of the contract so scripted

@@ -10,6 +10,7 @@
 #include "snd/graph/io.h"
 #include "snd/opinion/state_io.h"
 #include "snd/service/options_parse.h"
+#include "snd/util/stopwatch.h"
 #include "snd/util/table.h"
 #include "snd/util/thread_pool.h"
 #include "snd/util/version.h"
@@ -101,17 +102,24 @@ int SndCliMain(const std::vector<std::string>& args) {
 
   const SndCalculator calc(&graph.value(), parsed->options);
   if (command == "distance") {
-    int i = -1, j = -1;
-    if (std::sscanf(args[3].c_str(), "%d", &i) != 1 ||
-        std::sscanf(args[4].c_str(), "%d", &j) != 1 || i < 0 || j < 0 ||
-        i >= static_cast<int>(states->size()) ||
-        j >= static_cast<int>(states->size())) {
-      return Fail("invalid state indices");
+    int index[2] = {-1, -1};
+    for (int k = 0; k < 2; ++k) {
+      const std::string& token = args[static_cast<size_t>(3 + k)];
+      int consumed = 0;
+      // %n rejects trailing garbage ("0x", "1abc") that bare %d would
+      // silently truncate.
+      if (std::sscanf(token.c_str(), "%d%n", &index[k], &consumed) != 1 ||
+          consumed != static_cast<int>(token.size()) || index[k] < 0 ||
+          index[k] >= static_cast<int>(states->size())) {
+        return Fail("invalid state index '" + token + "'");
+      }
     }
-    const SndResult result = calc.Compute((*states)[static_cast<size_t>(i)],
-                                          (*states)[static_cast<size_t>(j)]);
-    std::printf("SND(%d, %d) = %.6f  (n_delta=%d, %.3fs)\n", i, j,
-                result.value, result.n_delta, result.total_seconds);
+    const Stopwatch watch;
+    const SndResult result =
+        calc.Compute((*states)[static_cast<size_t>(index[0])],
+                     (*states)[static_cast<size_t>(index[1])]);
+    std::printf("SND(%d, %d) = %.6f  (n_delta=%d, %.3fs)\n", index[0],
+                index[1], result.value, result.n_delta, watch.ElapsedSeconds());
     return 0;
   }
 

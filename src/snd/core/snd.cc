@@ -1,6 +1,7 @@
 #include "snd/core/snd.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <deque>
 #include <mutex>
@@ -13,7 +14,6 @@
 #include "snd/obs/trace.h"
 #include "snd/paths/sssp_engine.h"
 #include "snd/util/mutex.h"
-#include "snd/util/stopwatch.h"
 #include "snd/util/thread_pool.h"
 
 namespace snd {
@@ -78,7 +78,6 @@ class SndCalculator::EdgeCostCache {
     Entry& entry = EntryFor(state, op);
     std::call_once(entry.costs_once, [&] {
       const obs::ObsSpan span(obs::ObsPhase::kEdgeCost);
-      calc_.edge_cost_builds_.fetch_add(1, std::memory_order_relaxed);
       obs::TraceCountEdgeCostBuild();
       calc_.model_->ComputeEdgeCosts(
           *calc_.graph_, (*states_)[static_cast<size_t>(state)], op,
@@ -189,7 +188,6 @@ SndCalculator::MakeEdgeCostCachePatched(
                                   &costs)) {
         continue;
       }
-      edge_cost_patches_.fetch_add(1, std::memory_order_relaxed);
       obs::TraceCountEdgeCostPatch();
       cache->InstallPatched(state, op, std::move(costs));
       if (patched != nullptr) patched->emplace_back(state, op);
@@ -218,7 +216,6 @@ std::vector<int64_t> SndCalculator::DistancesToNode(
   SND_CHECK(0 <= target && target < graph_->num_nodes());
   const std::vector<int32_t>& rev_costs = cache->RevCosts(state, op);
   const std::unique_ptr<SsspEngine> engine = MakeEngine();
-  sssp_runs_.fetch_add(1, std::memory_order_relaxed);
   obs::TraceCountSsspRun();
   const SsspSource source{target, 0};
   const std::span<const int64_t> dist =
@@ -277,18 +274,6 @@ int32_t SndCalculator::EdgeCostAt(const std::vector<NetworkState>& states,
   const std::vector<int32_t>& costs = cache->Costs(state, op);
   SND_CHECK(0 <= e && e < static_cast<int64_t>(costs.size()));
   return costs[static_cast<size_t>(e)];
-}
-
-SndWorkCounters SndCalculator::work_counters() const {
-  SndWorkCounters counters;
-  counters.sssp_runs = sssp_runs_.load(std::memory_order_relaxed);
-  counters.transport_solves =
-      transport_solves_.load(std::memory_order_relaxed);
-  counters.edge_cost_builds =
-      edge_cost_builds_.load(std::memory_order_relaxed);
-  counters.edge_cost_patches =
-      edge_cost_patches_.load(std::memory_order_relaxed);
-  return counters;
 }
 
 SndCalculator::SndCalculator(const Graph* graph, SndOptions options)
@@ -386,7 +371,6 @@ SndResult SndCalculator::Compute(const NetworkState& a,
                                  const NetworkState& b) const {
   SND_CHECK(a.num_users() == graph_->num_nodes());
   SND_CHECK(b.num_users() == graph_->num_nodes());
-  Stopwatch watch;
   SndResult result;
   result.n_delta = NetworkState::CountDiffering(a, b);
   const auto specs = MakeTermSpecs(a, b);
@@ -407,7 +391,6 @@ SndResult SndCalculator::Compute(const NetworkState& a,
     }
   }
   result.value *= 0.5;
-  result.total_seconds = watch.ElapsedSeconds();
   return result;
 }
 
@@ -497,7 +480,6 @@ SndResult SndCalculator::ComputeReference(const NetworkState& a,
                                           const NetworkState& b) const {
   SND_CHECK(a.num_users() == graph_->num_nodes());
   SND_CHECK(b.num_users() == graph_->num_nodes());
-  Stopwatch watch;
   SndResult result;
   result.n_delta = NetworkState::CountDiffering(a, b);
   const auto specs = MakeTermSpecs(a, b);
@@ -506,7 +488,6 @@ SndResult SndCalculator::ComputeReference(const NetworkState& a,
     result.value += result.terms[k].cost;
   }
   result.value *= 0.5;
-  result.total_seconds = watch.ElapsedSeconds();
   return result;
 }
 
@@ -516,14 +497,12 @@ DenseMatrix SndCalculator::GroundDistanceMatrix(const NetworkState& state,
   std::vector<int32_t> costs;
   {
     const obs::ObsSpan span(obs::ObsPhase::kEdgeCost);
-    edge_cost_builds_.fetch_add(1, std::memory_order_relaxed);
     obs::TraceCountEdgeCostBuild();
     model_->ComputeEdgeCosts(*graph_, state, op, &costs);
   }
   const auto disconnection = static_cast<double>(DisconnectionCost());
   DenseMatrix d(n, n, 0.0);
   auto compute_row = [&](int32_t u, SsspEngine* engine) {
-    sssp_runs_.fetch_add(1, std::memory_order_relaxed);
     obs::TraceCountSsspRun();
     const SsspSource source{u, 0};
     const std::span<const int64_t> dist =
@@ -563,12 +542,9 @@ SndTermResult SndCalculator::ComputeTermReference(const TermSpec& spec) const {
   const std::vector<double> q = spec.to->OpinionIndicator(spec.op);
   EmdStarOptions emd_options;
   emd_options.apportionment = options_.apportionment;
-  Stopwatch watch;
   const obs::ObsSpan transport_span(obs::ObsPhase::kTransport);
-  transport_solves_.fetch_add(1, std::memory_order_relaxed);
   obs::TraceCountTransportSolve();
   result.cost = ComputeEmdStar(p, q, ground, banks_, *solver_, emd_options);
-  result.transport_seconds = watch.ElapsedSeconds();
   return result;
 }
 
@@ -586,7 +562,6 @@ SndTermResult SndCalculator::ComputeTermFast(const TermSpec& spec,
     costs_ptr = &ctx.cache->Costs(ctx.distance_state_index, spec.op);
   } else {
     const obs::ObsSpan span(obs::ObsPhase::kEdgeCost);
-    edge_cost_builds_.fetch_add(1, std::memory_order_relaxed);
     obs::TraceCountEdgeCostBuild();
     model_->ComputeEdgeCosts(*graph_, *spec.distance_state, spec.op,
                              &local_costs);
@@ -703,7 +678,6 @@ SndTermResult SndCalculator::ComputeTermFast(const TermSpec& spec,
     }
   };
 
-  Stopwatch sssp_watch;
   std::vector<double> supply, demand, cost;
   int32_t rows = 0, cols = 0;
 
@@ -719,7 +693,6 @@ SndTermResult SndCalculator::ComputeTermFast(const TermSpec& spec,
     }
     cost.resize(static_cast<size_t>(rows) * static_cast<size_t>(cols));
     for_each_row(rows, [&](int64_t r, TermScratch* scratch) {
-      sssp_runs_.fetch_add(1, std::memory_order_relaxed);
       obs::TraceCountSsspRun();
       const SsspSource source{sup[static_cast<size_t>(r)], 0};
       const std::span<const int64_t> dist = scratch->engine->Run(
@@ -764,7 +737,6 @@ SndTermResult SndCalculator::ComputeTermFast(const TermSpec& spec,
     const std::vector<int32_t>& rev_costs = *rev_ptr;
     for_each_row(static_cast<int64_t>(con.size()),
                  [&](int64_t jc, TermScratch* scratch) {
-      sssp_runs_.fetch_add(1, std::memory_order_relaxed);
       obs::TraceCountSsspRun();
       const SsspSource source{con[static_cast<size_t>(jc)], 0};
       const std::span<const int64_t> dist = scratch->engine->Run(
@@ -784,16 +756,12 @@ SndTermResult SndCalculator::ComputeTermFast(const TermSpec& spec,
       }
     });
   }
-  result.sssp_seconds = sssp_watch.ElapsedSeconds();
 
   const TransportProblem problem(std::move(supply), std::move(demand),
                                  std::move(cost));
-  Stopwatch transport_watch;
   const obs::ObsSpan transport_span(obs::ObsPhase::kTransport);
-  transport_solves_.fetch_add(1, std::memory_order_relaxed);
   obs::TraceCountTransportSolve();
   result.cost = solver_->Solve(problem).total_cost;
-  result.transport_seconds = transport_watch.ElapsedSeconds();
   return result;
 }
 

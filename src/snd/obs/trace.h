@@ -116,8 +116,9 @@ class ObsSpan {
 };
 
 // Work-counter hooks for the core layer: bump the current trace's
-// delta alongside the calculator's own cumulative counters. No-ops
-// without an installed trace.
+// delta. The trace is the only work account the core keeps; the
+// service folds it into the registry's snd.work.* counters per
+// request. No-ops without an installed trace.
 inline void TraceCountSsspRun() {
   if (RequestTrace* t = CurrentRequestTrace()) {
     t->sssp_runs.fetch_add(1, std::memory_order_relaxed);

@@ -148,6 +148,28 @@ void StampTraceEpochs(uint64_t graph_epoch, uint64_t sub_epoch,
   }
 }
 
+// The complete wire reply for one line's outcome, every line
+// '\n'-terminated (multi-row text responses included).
+std::string EncodeWireReply(const StatusOr<Response>& response,
+                            WireFormat format) {
+  if (format == WireFormat::kJson) {
+    std::string bytes = response.ok() ? RenderJsonResponse(*response)
+                                      : RenderJsonError(response.status());
+    bytes += '\n';
+    return bytes;
+  }
+  std::ostringstream out;
+  WriteTextResponse(response.ok() ? RenderTextResponse(*response)
+                                  : RenderTextError(response.status()),
+                    out);
+  return out.str();
+}
+
+// `quit` answered: the serve loops stop after writing the reply.
+bool IsBye(const StatusOr<Response>& response) {
+  return response.ok() && std::holds_alternative<ByeResponse>(*response);
+}
+
 }  // namespace
 
 SndService::SndService(SndServiceConfig config)
@@ -236,12 +258,6 @@ SndService::ObsMetrics SndService::RegisterObsMetrics(
   m.events_dropped =
       registry->RegisterCounter(obs::kMetricObsEventsDropped);
   return m;
-}
-
-void SndService::BeginTrace(obs::RequestTrace* trace) {
-  trace->trace_id =
-      next_trace_id_.fetch_add(1, std::memory_order_relaxed) + 1;
-  trace->start = std::chrono::steady_clock::now();
 }
 
 void SndService::FinishTrace(const obs::RequestTrace& trace,
@@ -1370,69 +1386,33 @@ StatusOr<Response> SndService::StatsCmd() {
   return Response(std::move(response));
 }
 
-ServiceResponse SndService::Call(const std::string& request) {
-  // Legacy string entry point: one trace covers the full pipeline, so
-  // its event carries parse and encode time the typed Dispatch (which
-  // never sees wire bytes) cannot.
+void SndService::ServeLine(
+    const std::string& line, WireFormat format,
+    const std::function<void(const StatusOr<Response>&)>& encode,
+    std::optional<SubscribeRequest>* subscribe) {
+  // One trace covers the full pipeline, so the line's event carries the
+  // parse and encode time the typed Dispatch (which never sees wire
+  // bytes) cannot.
   obs::RequestTrace trace;
   BeginTrace(&trace);
   const obs::TraceScope scope(&trace);
-  const StatusOr<Request> parsed = [&] {
+  StatusOr<Request> request = [&] {
     const obs::ObsSpan span(obs::ObsPhase::kParse);
-    return ParseTextRequest(request);
-  }();
-  if (!parsed.ok()) {
-    ServiceResponse rendered = [&] {
-      const obs::ObsSpan span(obs::ObsPhase::kEncode);
-      return RenderTextError(parsed.status());
-    }();
-    FinishTrace(trace, kInvalidKindIndex, std::string(), parsed.status());
-    return rendered;
-  }
-  const StatusOr<Response> response = [&] {
-    const obs::ObsSpan span(obs::ObsPhase::kDispatch);
-    return DispatchInner(*parsed);
-  }();
-  ServiceResponse rendered = [&] {
-    const obs::ObsSpan span(obs::ObsPhase::kEncode);
-    return response.ok() ? RenderTextResponse(*response)
-                         : RenderTextError(response.status());
-  }();
-  FinishTrace(trace, parsed->index(), RequestSessionName(*parsed),
-              response.status());
-  return rendered;
-}
-
-SndService::WireReply SndService::CallWire(const std::string& line,
-                                           WireFormat format) {
-  WireReply reply;
-  if (format == WireFormat::kText) {
-    // Call carries the full trace (parse, dispatch, encode); rendering
-    // the already-encoded ServiceResponse to bytes is pure formatting.
-    const ServiceResponse response = Call(line);
-    std::ostringstream out;
-    WriteTextResponse(response, out);
-    reply.bytes = out.str();
-    reply.close = response.ok && response.header == "bye";
-    return reply;
-  }
-  // JSON wire: the per-line mirror of ServeStream's JSON branch, one
-  // trace covering parse, dispatch and encode.
-  obs::RequestTrace trace;
-  BeginTrace(&trace);
-  const obs::TraceScope scope(&trace);
-  const StatusOr<Request> request = [&] {
-    const obs::ObsSpan span(obs::ObsPhase::kParse);
-    return ParseJsonRequest(line);
+    return format == WireFormat::kText ? ParseTextRequest(line)
+                                       : ParseJsonRequest(line);
   }();
   if (!request.ok()) {
     {
       const obs::ObsSpan span(obs::ObsPhase::kEncode);
-      reply.bytes = RenderJsonError(request.status());
-      reply.bytes += '\n';
+      encode(request.status());
     }
     FinishTrace(trace, kInvalidKindIndex, std::string(), request.status());
-    return reply;
+    return;
+  }
+  if (subscribe != nullptr &&
+      std::holds_alternative<SubscribeRequest>(*request)) {
+    *subscribe = std::get<SubscribeRequest>(std::move(*request));
+    return;
   }
   const StatusOr<Response> response = [&] {
     const obs::ObsSpan span(obs::ObsPhase::kDispatch);
@@ -1440,20 +1420,29 @@ SndService::WireReply SndService::CallWire(const std::string& line,
   }();
   {
     const obs::ObsSpan span(obs::ObsPhase::kEncode);
-    reply.bytes = response.ok() ? RenderJsonResponse(*response)
-                                : RenderJsonError(response.status());
-    reply.bytes += '\n';
+    encode(response);
   }
   FinishTrace(trace, request->index(), RequestSessionName(*request),
               response.status());
-  reply.close =
-      response.ok() && std::holds_alternative<ByeResponse>(*response);
-  return reply;
 }
 
-void SndService::WriteResponse(const ServiceResponse& response,
-                               std::ostream& out) {
-  WriteTextResponse(response, out);
+ServiceResponse SndService::Call(const std::string& request) {
+  ServiceResponse rendered;
+  ServeLine(request, WireFormat::kText,
+            [&](const StatusOr<Response>& response) {
+              rendered = response.ok() ? RenderTextResponse(*response)
+                                       : RenderTextError(response.status());
+            });
+  return rendered;
+}
+
+SndService::WireReply SndService::CallWire(const std::string& line,
+                                           WireFormat format) {
+  WireReply reply;
+  ServeLine(line, format, [&](const StatusOr<Response>& response) {
+    reply = WireReply{EncodeWireReply(response, format), IsBye(response)};
+  });
+  return reply;
 }
 
 void SndService::ServeSubscribe(const SubscribeRequest& request,
@@ -1521,62 +1510,25 @@ void SndService::ServeStream(std::istream& in, std::ostream& out,
     const size_t start = line.find_first_not_of(" \t");
     if (start == std::string::npos) continue;
     if (format == WireFormat::kText && line[start] == '#') continue;
-    if (format == WireFormat::kText) {
-      const StatusOr<Request> request = ParseTextRequest(line);
-      if (request.ok() &&
-          std::holds_alternative<SubscribeRequest>(*request)) {
-        // Streaming command: serve it here (Dispatch rejects it).
-        ServeSubscribe(std::get<SubscribeRequest>(*request), out, format);
-        continue;
-      }
-      const ServiceResponse response = Call(line);
-      WriteTextResponse(response, out);
-      out.flush();
-      if (response.ok && response.header == "bye") return;
-    } else {
-      // Mirror of Call for the JSON wire: one per-line trace covering
-      // parse, dispatch and encode.
-      obs::RequestTrace trace;
-      BeginTrace(&trace);
-      const obs::TraceScope scope(&trace);
-      const StatusOr<Request> request = [&] {
-        const obs::ObsSpan span(obs::ObsPhase::kParse);
-        return ParseJsonRequest(line);
-      }();
-      if (!request.ok()) {
-        {
-          const obs::ObsSpan span(obs::ObsPhase::kEncode);
-          out << RenderJsonError(request.status()) << '\n';
-        }
-        out.flush();
-        FinishTrace(trace, kInvalidKindIndex, std::string(),
-                    request.status());
-        continue;
-      }
-      if (std::holds_alternative<SubscribeRequest>(*request)) {
-        // Subscribe traces itself (one event per stream); the outer
-        // trace is abandoned un-emitted so the line is not double
-        // counted. Its parse time goes unreported — harmless.
-        ServeSubscribe(std::get<SubscribeRequest>(*request), out, format);
-        continue;
-      }
-      const StatusOr<Response> response = [&] {
-        const obs::ObsSpan span(obs::ObsPhase::kDispatch);
-        return DispatchInner(*request);
-      }();
-      {
-        const obs::ObsSpan span(obs::ObsPhase::kEncode);
-        out << (response.ok() ? RenderJsonResponse(*response)
-                              : RenderJsonError(response.status()))
-            << '\n';
-      }
-      out.flush();
-      FinishTrace(trace, request->index(), RequestSessionName(*request),
-                  response.status());
-      if (response.ok() && std::holds_alternative<ByeResponse>(*response)) {
-        return;
-      }
+    WireReply reply;
+    std::optional<SubscribeRequest> subscribe;
+    ServeLine(
+        line, format,
+        [&](const StatusOr<Response>& response) {
+          reply = WireReply{EncodeWireReply(response, format),
+                            IsBye(response)};
+        },
+        &subscribe);
+    if (subscribe.has_value()) {
+      // Streaming command: served here (Dispatch rejects it).
+      ServeSubscribe(*subscribe, out, format);
+      continue;
     }
+    // Written after the trace is folded, so the peer never sees a reply
+    // whose request a later `stats` would miss.
+    out << reply.bytes;
+    out.flush();
+    if (reply.close) return;
   }
 }
 

@@ -14,7 +14,7 @@
 //
 // Concurrency model — many clients, one resident network:
 //  * One process-wide SndService (and thus one SessionRegistry) is
-//    shared by every connection; `snd_serve` threads each connection
+//    shared by every connection; `snd_serve` serves every connection
 //    over it, so N clients hammer one resident graph with zero
 //    reparsing.
 //  * A std::shared_mutex guards the sessions. Read requests (distance /
@@ -57,11 +57,13 @@
 #define SND_SERVICE_SERVICE_H_
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <variant>
 #include <vector>
@@ -119,8 +121,8 @@ struct ServiceCounters {
   int64_t result_size = 0;
   int64_t calc_builds = 0;
   int64_t calc_hits = 0;
-  // Aggregate over all calculators this service ever built (live ones
-  // plus those retired by eviction or reload).
+  // The registry's snd.work.* counters: the work of every completed
+  // request, whichever calculator did it (live, evicted or reloaded).
   SndWorkCounters work;
 };
 
@@ -140,8 +142,9 @@ class SndService {
   StatusOr<Response> Dispatch(const Request& request);
 
   // Text-protocol convenience: ParseTextRequest -> Dispatch ->
-  // RenderText{Response,Error}. Byte-compatible with the pre-typed
-  // protocol. Thread-safe (it is Dispatch plus stateless codec work).
+  // RenderText{Response,Error}, traced like CallWire. Byte-compatible
+  // with the pre-typed protocol. Thread-safe (it is Dispatch plus
+  // stateless codec work).
   ServiceResponse Call(const std::string& request);
 
   // Reads requests from `in` line by line and writes each response to
@@ -163,18 +166,13 @@ class SndService {
   // (ServeStream's skip rules are transport-side framing, not protocol).
   // Streaming `subscribe` is the one line with no finite reply; Dispatch
   // rejects it with the typed failed_precondition, which is exactly the
-  // wire behavior here. Thread-safe, traced like Call (parse, dispatch
-  // and encode spans all covered).
+  // wire behavior here. Thread-safe; one trace covers the parse,
+  // dispatch and encode spans of the line.
   struct WireReply {
     std::string bytes;
     bool close = false;
   };
   WireReply CallWire(const std::string& line, WireFormat format);
-
-  // Serializes a response in the text wire format (legacy name, kept
-  // for in-process callers; identical to WriteTextResponse).
-  static void WriteResponse(const ServiceResponse& response,
-                            std::ostream& out);
 
   // One streamed adjacent-SND value: SND(state t, state t+1) by global
   // transition index t, stamped with the epochs it was computed under
@@ -315,7 +313,11 @@ class SndService {
 
   // Stamps a fresh trace id and the start time. The caller installs the
   // trace with an obs::TraceScope for the request's duration.
-  void BeginTrace(obs::RequestTrace* trace);
+  void BeginTrace(obs::RequestTrace* trace) {
+    trace->trace_id =
+        next_trace_id_.fetch_add(1, std::memory_order_relaxed) + 1;
+    trace->start = std::chrono::steady_clock::now();
+  }
 
   // Request epilogue, called exactly once per traced request after the
   // work is done (and before the response is returned): folds the
@@ -330,10 +332,22 @@ class SndService {
 
   static constexpr size_t kInvalidKindIndex = std::variant_size_v<Request>;
 
-  // The dispatch body (the pre-observability Dispatch): every traced
-  // entry point — Dispatch, Call, ServeStream — routes through it
-  // inside its own trace/span bracket.
+  // The dispatch body (the pre-observability Dispatch): both traced
+  // entry points, Dispatch and ServeLine, route through it inside their
+  // own trace/span bracket.
   StatusOr<Response> DispatchInner(const Request& request);
+
+  // The one trace bracket for a wire line, shared by Call, CallWire and
+  // ServeStream: parses `line` in `format`, dispatches it, and hands
+  // the outcome to `encode` (a parse failure arrives as its error
+  // status), each step in its own span of one fresh request trace,
+  // which is then folded by FinishTrace. When `subscribe` is non-null a
+  // subscribe line is not dispatched: it is moved into *subscribe and
+  // the line's trace is dropped unfolded, because Subscribe traces the
+  // whole stream itself (one event per stream).
+  void ServeLine(const std::string& line, WireFormat format,
+                 const std::function<void(const StatusOr<Response>&)>& encode,
+                 std::optional<SubscribeRequest>* subscribe = nullptr);
 
   StatusOr<Response> LoadGraphCmd(const LoadGraphRequest& request);
   StatusOr<Response> LoadStatesCmd(const LoadStatesRequest& request);
@@ -407,8 +421,8 @@ class SndService {
                                       int32_t v, bool add)
       SND_REQUIRES(session_mu_);
 
-  // Drops every calculator and cached result of `name` (reload/evict),
-  // folding retired calculators' work counters into retired_work_.
+  // Drops every calculator and cached result of `name` (reload/evict).
+  // Their work is already in the registry, folded per request.
   void PurgeGraphArtifacts(const std::string& name)
       SND_REQUIRES(session_mu_);
 

@@ -1,4 +1,5 @@
-// Wall-clock stopwatch used by the benchmark harnesses.
+// Wall-clock stopwatch used by the benchmark harnesses, the examples and
+// the CLI. Library code reports its phase times through obs::RequestTrace.
 #ifndef SND_UTIL_STOPWATCH_H_
 #define SND_UTIL_STOPWATCH_H_
 

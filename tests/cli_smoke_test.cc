@@ -4,6 +4,7 @@
 // generated fixture and checks exit codes and output shape.
 #include <cstdio>
 #include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -79,6 +80,23 @@ TEST_F(CliSmokeTest, DistanceCommandPrintsValue) {
              ShellQuoted(states_path_) + " 0 1");
   EXPECT_EQ(result.exit_code, 0) << result.err;
   EXPECT_NE(result.out.find("SND(0, 1) ="), std::string::npos) << result.out;
+}
+
+TEST_F(CliSmokeTest, DistanceRejectsBadIndicesNamingToken) {
+  // {indices, the token the error must name}; the fixture has 3 states.
+  const std::pair<const char*, const char*> cases[] = {
+      {"0x 1", "0x"}, {"0 1abc", "1abc"}, {"-1 1", "-1"}, {"0 3", "3"}};
+  for (const auto& [indices, token] : cases) {
+    const BinaryRunResult result =
+        RunCli("distance " + ShellQuoted(graph_path_) + " " +
+               ShellQuoted(states_path_) + " " + indices);
+    EXPECT_EQ(result.exit_code, 1) << indices;
+    EXPECT_NE(result.err.find(std::string("invalid state index '") + token +
+                              "'"),
+              std::string::npos)
+        << indices << " stderr: " << result.err;
+    EXPECT_TRUE(result.out.empty()) << indices << " stdout: " << result.out;
+  }
 }
 
 TEST_F(CliSmokeTest, SeriesCommandPrintsTable) {

@@ -1,7 +1,7 @@
 // In-process tests of the serving subsystem (snd/service/service.h):
 // protocol error paths (malformed requests name the offending token),
 // cache semantics (warm repeats and overlapping queries do zero
-// SSSP/transport work, proven by SndCalculator::work_counters), epoch
+// SSSP/transport work, proven by the counters()/info work row), epoch
 // invalidation on reload, append-only series retention, LRU bounds, and
 // bitwise identity of service answers with direct SndCalculator calls
 // across SSSP backends and thread counts.

@@ -2,7 +2,10 @@
 // BatchDistances, PairwiseDistanceMatrix and AdjacentDistanceSeries must
 // return bitwise-identical values for any thread count, and the batch
 // paths (cached edge costs, shared reversed-cost buffers) must agree
-// exactly with the single-pair path.
+// exactly with the single-pair path. The request trace a library caller
+// installs records the same work counts for any thread count.
+#include <algorithm>
+#include <array>
 #include <thread>
 #include <vector>
 
@@ -13,6 +16,7 @@
 #include "snd/analysis/state_clustering.h"
 #include "snd/baselines/baselines.h"
 #include "snd/core/snd.h"
+#include "snd/obs/trace.h"
 #include "snd/paths/sssp_engine.h"
 #include "snd/util/random.h"
 #include "snd/util/thread_pool.h"
@@ -376,6 +380,60 @@ TEST_F(SndParallelTest, GroundDistanceMatrixIsDeterministic) {
       for (int32_t v = 0; v < n; ++v) {
         EXPECT_EQ(d.At(u, v), reference.At(u, v)) << "threads=" << threads;
       }
+    }
+  }
+}
+
+TEST_F(SndParallelTest, TraceRecordsTheSameWorkAtAnyThreadCount) {
+  Rng rng(20);
+  const int32_t n = 80;
+  const Graph graph = RandomSymmetricGraph(n, 160, &rng);
+  const std::vector<NetworkState> states = MakeSeries(n, 5, &rng);
+  const SndCalculator calc(&graph, SndOptions{});
+  const StatePairs pairs = AllUnorderedPairs(5);
+
+  // Runs `call` under an installed trace; returns its (sssp_runs,
+  // transport_solves, edge_cost_builds) and checks both phase clocks ran.
+  const auto traced = [](const auto& call) {
+    obs::RequestTrace trace;
+    {
+      const obs::TraceScope scope(&trace);
+      call();
+    }
+    EXPECT_GT(trace.phase_ns[static_cast<int>(obs::ObsPhase::kSssp)].load(),
+              0);
+    EXPECT_GT(
+        trace.phase_ns[static_cast<int>(obs::ObsPhase::kTransport)].load(),
+        0);
+    return std::array<int64_t, 3>{trace.sssp_runs.load(),
+                                  trace.transport_solves.load(),
+                                  trace.edge_cost_builds.load()};
+  };
+
+  std::array<int64_t, 3> compute_reference{};
+  std::array<int64_t, 3> batch_reference{};
+  const auto hw = std::max<int32_t>(
+      1, static_cast<int32_t>(std::thread::hardware_concurrency()));
+  for (const int32_t threads : {1, hw}) {
+    ThreadPool::SetGlobalThreads(threads);
+    double value = 0.0;
+    const std::array<int64_t, 3> compute =
+        traced([&] { value = calc.Compute(states[0], states[1]).value; });
+    EXPECT_GT(value, 0.0);
+    std::vector<double> values;
+    const std::array<int64_t, 3> batch =
+        traced([&] { values = calc.BatchDistances(states, pairs); });
+    EXPECT_EQ(values.size(), pairs.size());
+    if (threads == 1) {
+      compute_reference = compute;
+      batch_reference = batch;
+      for (const int64_t count : compute) EXPECT_GT(count, 0);
+      for (const int64_t count : batch) EXPECT_GT(count, 0);
+      // Without a cache every term costs its own edges.
+      EXPECT_EQ(compute[2], 4);
+    } else {
+      EXPECT_EQ(compute, compute_reference) << "threads=" << threads;
+      EXPECT_EQ(batch, batch_reference) << "threads=" << threads;
     }
   }
 }
