@@ -140,34 +140,52 @@ class Simplex {
     }
   }
 
-  // Block pricing for the most negative reduced cost. Rows are scanned
-  // from a rotating cursor through CostRow pointers; the scan stops once
-  // a block of rows holding a violation has been examined. A full pass
+  // Block pricing for the most negative reduced cost. Arcs are scanned in
+  // row-major order from a persistent (row, column) cursor through CostRow
+  // pointers, wrapping from the last arc to arc (0, 0); the scan stops at
+  // the end of the first block of ⌈√(S·T)⌉ arcs that holds a violation,
+  // and the next scan resumes where this one stopped. A full S·T pass
   // without a violation proves optimality.
   bool FindEnteringArc(double tol, int32_t* ei, int32_t* ej) {
-    const int32_t block = std::max<int32_t>(8, S_ / 16);
     const double* v = pi_.data() + S_;
     double best = -tol;
-    bool found = false;
-    int32_t rows_since_found = 0;
-    int32_t i = cursor_;
-    for (int32_t scanned = 0; scanned < S_; ++scanned) {
-      const double* row = problem_.CostRow(i);
-      const double ui = pi_[static_cast<size_t>(i)];
-      for (int32_t j = 0; j < T_; ++j) {
-        const double rc = row[j] - ui - v[j];
+    int32_t best_i = kNone, best_j = kNone;
+    int32_t i = cursor_row_;
+    int32_t j = cursor_col_;
+    const double* row = problem_.CostRow(i);
+    double ui = pi_[static_cast<size_t>(i)];
+    int64_t block_left = block_;
+    for (int64_t left = num_arcs_; left > 0;) {
+      // Scan row i up to its end, the block's end or the pass's end.
+      const auto end = static_cast<int32_t>(
+          std::min<int64_t>(T_, j + std::min(block_left, left)));
+      for (int32_t k = j; k < end; ++k) {
+        const double rc = row[k] - ui - v[k];
         if (rc < best) {
           best = rc;
-          *ei = i;
-          *ej = j;
-          found = true;
+          best_i = i;
+          best_j = k;
         }
       }
-      if (++i == S_) i = 0;
-      if (found && ++rows_since_found >= block) break;
+      left -= end - j;
+      block_left -= end - j;
+      j = end;
+      if (j == T_) {
+        j = 0;
+        if (++i == S_) i = 0;
+        row = problem_.CostRow(i);
+        ui = pi_[static_cast<size_t>(i)];
+      }
+      if (block_left == 0) {
+        if (best_i != kNone) break;
+        block_left = block_;
+      }
     }
-    if (found) cursor_ = (*ei + 1 == S_) ? 0 : *ei + 1;
-    return found;
+    cursor_row_ = i;
+    cursor_col_ = j;
+    *ei = best_i;
+    *ej = best_j;
+    return best_i != kNone;
   }
 
   // Pushes flow around the cycle closed by entering arc (ei, ej), drops the
@@ -275,7 +293,13 @@ class Simplex {
   std::vector<int32_t> depth_;
   std::vector<double> flow_;  // Flow on the arc to the parent.
   std::vector<double> pi_;    // u_i at node i, v_j at node S + j.
-  int32_t cursor_ = 0;  // Row the next pricing scan starts at.
+  // Pricing: S·T arcs in blocks of ⌈√(S·T)⌉; the next scan starts at arc
+  // (cursor_row_, cursor_col_).
+  const int64_t num_arcs_ = static_cast<int64_t>(S_) * T_;
+  const int64_t block_ = static_cast<int64_t>(
+      std::ceil(std::sqrt(static_cast<double>(num_arcs_))));
+  int32_t cursor_row_ = 0;
+  int32_t cursor_col_ = 0;
 };
 
 }  // namespace

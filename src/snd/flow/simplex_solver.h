@@ -5,9 +5,10 @@
 // The basis is a spanning tree of the S + T nodes rooted at supplier 0;
 // every node keeps its parent, the flow on the arc to its parent, its
 // depth, its potential and doubly linked child lists. A pivot costs one
-// pricing block (the rows scanned from a rotating cursor until
-// max(8, S / 16) rows past the first violation, read through
-// TransportProblem::CostRow), plus the cycle closed by the entering arc
+// pricing scan (blocks of ⌈√(S·T)⌉ arcs read through
+// TransportProblem::CostRow from a persistent (row, column) cursor, up to
+// the end of the first block holding a violation; the most negative
+// reduced cost seen enters), plus the cycle closed by the entering arc
 // (found by climbing to the apex by depth; flows change only there), plus
 // the subtree cut off by the leaving arc (re-hung under the entering arc;
 // potentials and depths are recomputed only there, from the tree arcs, so

@@ -395,5 +395,97 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Range(0, 6)),
     SndShapeTestName);
 
+// Pricing-cursor cases. The simplex prices S·T arcs in blocks of
+// ⌈√(S·T)⌉ from a persistent (row, column) cursor; these shapes hit its
+// edges: single lines, prime dimensions, a block size that does not divide
+// S·T and scans that must wrap from the last row into row 0. Each plan
+// must be valid, match SSP and be bitwise repeatable.
+void ExpectSimplexExactAndRepeatable(const TransportProblem& p) {
+  const SimplexSolver simplex;
+  const TransportPlan plan = simplex.Solve(p);
+  std::string error;
+  EXPECT_TRUE(ValidatePlan(p, plan, &error)) << error;
+  const double ssp = SspSolver().Solve(p).total_cost;
+  EXPECT_NEAR(plan.total_cost, ssp, 1e-9 * std::abs(ssp));
+  EXPECT_EQ(simplex.Solve(p).total_cost, plan.total_cost);  // Bitwise.
+}
+
+// Real-valued masses with integer costs in [1, 20], so reduced costs tie.
+TransportProblem RandomRealMassInstance(int32_t s, int32_t t, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<double> supply(static_cast<size_t>(s));
+  std::vector<double> demand(static_cast<size_t>(t));
+  double total = 0.0;
+  for (auto& v : supply) {
+    v = rng.UniformReal(0.5, 4.0);
+    total += v;
+  }
+  double weights = 0.0;
+  for (auto& v : demand) {
+    v = rng.UniformReal(0.5, 4.0);
+    weights += v;
+  }
+  for (auto& v : demand) v *= total / weights;
+  std::vector<double> cost(static_cast<size_t>(s) * static_cast<size_t>(t));
+  for (auto& c : cost) c = static_cast<double>(rng.UniformInt(1, 20));
+  return TransportProblem(std::move(supply), std::move(demand),
+                          std::move(cost));
+}
+
+TEST(SimplexCursorTest, OneByOne) {
+  const TransportProblem p = MakeProblem({2.5}, {2.5}, {3.0});
+  ExpectSimplexExactAndRepeatable(p);
+  EXPECT_EQ(SimplexSolver().Solve(p).total_cost, 7.5);
+}
+
+TEST(SimplexCursorTest, OneRow) {
+  ExpectSimplexExactAndRepeatable(RandomRealMassInstance(1, 17, 3100));
+}
+
+TEST(SimplexCursorTest, OneColumn) {
+  ExpectSimplexExactAndRepeatable(RandomRealMassInstance(17, 1, 3101));
+}
+
+TEST(SimplexCursorTest, PrimeSevenByThirteen) {
+  for (uint64_t seed = 3200; seed < 3210; ++seed) {
+    ExpectSimplexExactAndRepeatable(RandomRealMassInstance(7, 13, seed));
+  }
+}
+
+TEST(SimplexCursorTest, PrimeThirteenBySeven) {
+  for (uint64_t seed = 3300; seed < 3310; ++seed) {
+    ExpectSimplexExactAndRepeatable(RandomRealMassInstance(13, 7, seed));
+  }
+}
+
+// 4 x 3, blocks of 4 arcs. The third scan starts at arc 8, i.e. (2, 2),
+// and (2, 1) = arc 7, just before it, is the only violating arc: the scan
+// must run through row 3, wrap into row 0 and come round to arc 7. A scan
+// that stopped short of it would end at cost 25.
+TEST(SimplexCursorTest, OnlyViolationJustBeforeCursorWrapsToRowZero) {
+  const TransportProblem p = MakeProblem({3, 2, 2, 2}, {1, 3, 5},
+                                         {9, 6, 4,  //
+                                          3, 2, 4,  //
+                                          0, 0, 7,  //
+                                          7, 6, 0});
+  ExpectSimplexExactAndRepeatable(p);
+  EXPECT_EQ(SimplexSolver().Solve(p).total_cost, 16.0);
+}
+
+// 5 x 2, blocks of 4 arcs over 10: the block size does not divide S·T.
+// The second scan starts at arc 4 with (1, 1) = arc 3 the only violating
+// arc; its second block wraps mid-block from (4, 1) to (0, 0), and its
+// third block is the 2-arc remainder that ends on arc 3.
+TEST(SimplexCursorTest, BlockDoesNotDivideArcCount) {
+  const TransportProblem p = MakeProblem({1, 1, 1, 1, 3}, {5, 2},
+                                         {8, 3,  //
+                                          5, 0,  //
+                                          0, 6,  //
+                                          5, 7,  //
+                                          6, 5});
+  ExpectSimplexExactAndRepeatable(p);
+  EXPECT_EQ(SimplexSolver().Solve(p).total_cost, 26.0);
+}
+
 }  // namespace
 }  // namespace snd
