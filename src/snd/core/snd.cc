@@ -282,10 +282,8 @@ SndCalculator::SndCalculator(const Graph* graph, SndOptions options)
       model_(MakeModel(options)),
       solver_(MakeTransportSolver(options.solver)) {
   SND_CHECK(graph != nullptr);
-  sssp_backend_ = ResolveSsspBackend(options_.sssp_backend,
-                                     graph_->num_nodes(),
-                                     model_->MaxEdgeCost(),
-                                     ThreadPool::GlobalThreads());
+  sssp_backend_ = ResolveSsspBackend(
+      options_.sssp_backend, graph_->num_nodes(), model_->MaxEdgeCost());
   reversed_ = graph_->Reversed(&reverse_origin_);
 
   // Bank clustering.
@@ -349,7 +347,7 @@ std::unique_ptr<SsspEngine> SndCalculator::MakeEngine() const {
   // forward and the reversed (permuted-forward) cost buffers, so one
   // engine serves every search of the calculator.
   return MakeSsspEngine(sssp_backend_, graph_->num_nodes(),
-                        model_->MaxEdgeCost(), ThreadPool::GlobalThreads());
+                        model_->MaxEdgeCost());
 }
 
 int64_t SndCalculator::DisconnectionCost() const {
@@ -374,21 +372,9 @@ SndResult SndCalculator::Compute(const NetworkState& a,
   SndResult result;
   result.n_delta = NetworkState::CountDiffering(a, b);
   const auto specs = MakeTermSpecs(a, b);
-  if (options_.parallel_terms) {
-    // The four terms run on the shared pool, so concurrent Compute calls
-    // (e.g. from a pairwise loop) stay within the pool's hard thread cap
-    // instead of spawning unbounded std::async tasks.
-    ThreadPool::Global().ParallelFor(
-        static_cast<int64_t>(specs.size()), [&](int64_t k, int32_t) {
-          result.terms[static_cast<size_t>(k)] =
-              ComputeTermFast(specs[static_cast<size_t>(k)], TermContext{});
-        });
-    for (const SndTermResult& term : result.terms) result.value += term.cost;
-  } else {
-    for (size_t k = 0; k < specs.size(); ++k) {
-      result.terms[k] = ComputeTermFast(specs[k], TermContext{});
-      result.value += result.terms[k].cost;
-    }
+  for (size_t k = 0; k < specs.size(); ++k) {
+    result.terms[k] = ComputeTermFast(specs[k], TermContext{});
+    result.value += result.terms[k].cost;
   }
   result.value *= 0.5;
   return result;
@@ -516,8 +502,7 @@ DenseMatrix SndCalculator::GroundDistanceMatrix(const NetworkState& state,
     }
   };
   ThreadPool& pool = ThreadPool::Global();
-  if (options_.parallel_sssp && n > 1 && pool.num_threads() > 1 &&
-      !ThreadPool::InParallelRegion()) {
+  if (n > 1 && pool.num_threads() > 1 && !ThreadPool::InParallelRegion()) {
     std::vector<std::unique_ptr<SsspEngine>> engines(
         static_cast<size_t>(pool.num_threads()));
     pool.ParallelFor(n, [&](int64_t u, int32_t slot) {
@@ -658,7 +643,7 @@ SndTermResult SndCalculator::ComputeTermFast(const TermSpec& spec,
   // identical across thread counts.
   auto for_each_row = [&](int64_t count, auto&& row_fn) {
     ThreadPool& pool = ThreadPool::Global();
-    if (options_.parallel_sssp && count > 1 && pool.num_threads() > 1 &&
+    if (count > 1 && pool.num_threads() > 1 &&
         !ThreadPool::InParallelRegion()) {
       // Per-lane scratch, created on first use so a term with fewer rows
       // than lanes does not allocate workspaces that never run.

@@ -203,9 +203,8 @@ class SndCalculator {
   const SndOptions& options() const { return options_; }
 
   // The concrete SSSP backend behind every ground-distance search
-  // (SndOptions::sssp_backend with kAuto resolved against the graph size,
-  // the model's MaxEdgeCost() and the construction-time global thread
-  // count).
+  // (SndOptions::sssp_backend with kAuto resolved against the graph size
+  // and the model's MaxEdgeCost()).
   SsspBackend sssp_backend() const { return sssp_backend_; }
 
  private:
@@ -228,7 +227,7 @@ class SndCalculator {
 
   // Optional precomputed inputs for one term evaluation. Default
   // (all null) means: compute edge costs locally, use local scratch, and
-  // parallelize the per-row SSSPs on the shared pool when enabled.
+  // parallelize the per-row SSSPs on the shared pool.
   struct TermContext {
     EdgeCostCache* cache = nullptr;  // With distance_state_index below.
     int32_t distance_state_index = -1;

@@ -63,8 +63,8 @@ struct SndOptions {
   // Shortest-path backend behind every ground-distance search (CLI:
   // --sssp). kAuto picks Dial's bucket queue when the model's
   // MaxEdgeCost() (Assumption 2's U) is small relative to the graph size,
-  // binary-heap Dijkstra otherwise; SND values are bitwise identical for
-  // every choice.
+  // delta-stepping on large graphs, binary-heap Dijkstra otherwise; SND
+  // values are bitwise identical for every choice.
   SsspBackend sssp_backend = SsspBackend::kAuto;
 
   BankStrategy bank_strategy = BankStrategy::kPerBin;
@@ -83,18 +83,6 @@ struct SndOptions {
   uint64_t clustering_seed = 42;
   int32_t lp_max_iterations = 20;
   int32_t lp_min_community_size = 4;
-
-  // Evaluate the four EMD* terms of Eq. 3 concurrently (they are
-  // independent) on the shared ThreadPool. Off by default so
-  // single-threaded timing measurements stay comparable to the paper's;
-  // the value is identical either way.
-  bool parallel_terms = false;
-
-  // Fan the independent per-row SSSPs of a term (one Dijkstra per
-  // changed supplier/consumer) out on the shared ThreadPool. Results are
-  // bitwise identical for any thread count; run with SND_THREADS=1 (or
-  // ThreadPool::SetGlobalThreads(1)) for strictly serial execution.
-  bool parallel_sssp = true;
 };
 
 }  // namespace snd

@@ -11,8 +11,8 @@
 
 namespace snd {
 
-// Semantics identical to Dijkstra(); costs must be non-negative (no
-// negative-cycle handling is needed for the oracle role).
+// Semantics identical to a full SsspEngine search; costs must be
+// non-negative (no negative-cycle handling is needed for the oracle role).
 std::vector<int64_t> BellmanFord(const Graph& g,
                                  std::span<const int32_t> edge_costs,
                                  std::span<const SsspSource> sources);

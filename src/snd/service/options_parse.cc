@@ -22,8 +22,8 @@ const char kSndFlagUsage[] =
     "  --sssp=auto|dijkstra|dial|delta\n"
     "                     shortest-path backend (auto picks Dial's bucket\n"
     "                     queue when the model's max edge cost is small\n"
-    "                     relative to n, delta-stepping on large graphs\n"
-    "                     with many threads; results are identical for all)\n"
+    "                     relative to n, delta-stepping on large graphs;\n"
+    "                     results are identical for all)\n"
     "  --threads=N        worker threads (default: SND_THREADS or all\n"
     "                     cores; results are identical for any N)\n";
 

@@ -3,14 +3,13 @@
 #include <gtest/gtest.h>
 
 #include "snd/paths/bellman_ford.h"
-#include "snd/paths/dial.h"
-#include "snd/paths/dijkstra.h"
 #include "snd/paths/sssp_engine.h"
 #include "test_util.h"
 
 namespace snd {
 namespace {
 
+using testing_util::AllDistances;
 using testing_util::RandomDirectedGraph;
 using testing_util::RandomEdgeCosts;
 
@@ -18,7 +17,8 @@ TEST(DijkstraTest, LineGraph) {
   // 0 -1-> 1 -2-> 2 -3-> 3.
   const Graph g = Graph::FromEdges(4, {{0, 1}, {1, 2}, {2, 3}});
   const std::vector<int32_t> costs{1, 2, 3};
-  const auto dist = Dijkstra(g, costs, 0);
+  const auto dist =
+      AllDistances(DijkstraEngine(g.num_nodes()), g, costs, {{0, 0}});
   EXPECT_EQ(dist[0], 0);
   EXPECT_EQ(dist[1], 1);
   EXPECT_EQ(dist[2], 3);
@@ -32,14 +32,16 @@ TEST(DijkstraTest, PrefersCheaperLongerPath) {
   costs[static_cast<size_t>(g.FindEdge(0, 1))] = 2;
   costs[static_cast<size_t>(g.FindEdge(0, 2))] = 10;
   costs[static_cast<size_t>(g.FindEdge(1, 2))] = 3;
-  const auto dist = Dijkstra(g, costs, 0);
+  const auto dist =
+      AllDistances(DijkstraEngine(g.num_nodes()), g, costs, {{0, 0}});
   EXPECT_EQ(dist[2], 5);
 }
 
 TEST(DijkstraTest, UnreachableNodes) {
   const Graph g = Graph::FromEdges(3, {{0, 1}});
   const std::vector<int32_t> costs{1};
-  const auto dist = Dijkstra(g, costs, 0);
+  const auto dist =
+      AllDistances(DijkstraEngine(g.num_nodes()), g, costs, {{0, 0}});
   EXPECT_EQ(dist[1], 1);
   EXPECT_EQ(dist[2], kUnreachableDistance);
 }
@@ -48,7 +50,8 @@ TEST(DijkstraTest, MultiSourceTakesMinimum) {
   const Graph g = Graph::FromEdges(4, {{0, 1}, {1, 2}, {3, 2}});
   const std::vector<int32_t> costs{5, 5, 1};
   const std::vector<SsspSource> sources{{0, 0}, {3, 2}};
-  const auto dist = Dijkstra(g, costs, sources);
+  const auto dist =
+      AllDistances(DijkstraEngine(g.num_nodes()), g, costs, sources);
   EXPECT_EQ(dist[0], 0);
   EXPECT_EQ(dist[3], 2);
   EXPECT_EQ(dist[2], 3);  // Via source 3 (2 + 1), not via 0 (10).
@@ -72,15 +75,18 @@ TEST(DijkstraTest, EngineReusableAcrossRuns) {
 TEST(DialTest, MatchesDijkstraOnLine) {
   const Graph g = Graph::FromEdges(4, {{0, 1}, {1, 2}, {2, 3}});
   const std::vector<int32_t> costs{3, 1, 2};
-  const auto dij = Dijkstra(g, costs, 0);
-  const auto dial = DialShortestPaths(g, costs, 0, 3);
+  const auto dij =
+      AllDistances(DijkstraEngine(g.num_nodes()), g, costs, {{0, 0}});
+  const auto dial =
+      AllDistances(DialEngine(g.num_nodes(), 3), g, costs, {{0, 0}});
   EXPECT_EQ(dij, dial);
 }
 
 TEST(DialTest, HandlesZeroCostEdges) {
   const Graph g = Graph::FromEdges(4, {{0, 1}, {1, 2}, {2, 3}});
   const std::vector<int32_t> costs{0, 0, 2};
-  const auto dist = DialShortestPaths(g, costs, 0, 2);
+  const auto dist =
+      AllDistances(DialEngine(g.num_nodes(), 2), g, costs, {{0, 0}});
   EXPECT_EQ(dist[1], 0);
   EXPECT_EQ(dist[2], 0);
   EXPECT_EQ(dist[3], 2);
@@ -90,7 +96,8 @@ TEST(DialTest, MultiSourceWithOffsets) {
   const Graph g = Graph::FromEdges(3, {{0, 2}, {1, 2}});
   const std::vector<int32_t> costs{5, 1};
   const std::vector<SsspSource> sources{{0, 0}, {1, 3}};
-  const auto dist = DialShortestPaths(g, costs, sources, 5);
+  const auto dist =
+      AllDistances(DialEngine(g.num_nodes(), 5), g, costs, sources);
   EXPECT_EQ(dist[2], 4);  // min(0+5, 3+1).
 }
 
@@ -107,8 +114,10 @@ TEST_P(SsspAgreementTest, AllSolversAgree) {
   const auto costs = RandomEdgeCosts(g, max_cost, &rng);
   const auto source = static_cast<int32_t>(rng.UniformInt(0, n - 1));
 
-  const auto dij = Dijkstra(g, costs, source);
-  const auto dial = DialShortestPaths(g, costs, source, max_cost);
+  const auto dij =
+      AllDistances(DijkstraEngine(g.num_nodes()), g, costs, {{source, 0}});
+  const auto dial = AllDistances(DialEngine(g.num_nodes(), max_cost), g, costs,
+                                 {{source, 0}});
   const SsspSource s{source, 0};
   const auto bf = BellmanFord(g, costs, std::span<const SsspSource>(&s, 1));
   EXPECT_EQ(dij, dial) << "n=" << n << " m=" << m;
@@ -132,9 +141,11 @@ TEST_P(MultiSourceAgreementTest, DijkstraMatchesBellmanFordAndDial) {
     sources.push_back({static_cast<int32_t>(rng.UniformInt(0, n - 1)),
                        rng.UniformInt(0, 5)});
   }
-  const auto dij = Dijkstra(g, costs, sources);
+  const auto dij =
+      AllDistances(DijkstraEngine(g.num_nodes()), g, costs, sources);
   const auto bf = BellmanFord(g, costs, sources);
-  const auto dial = DialShortestPaths(g, costs, sources, 9);
+  const auto dial =
+      AllDistances(DialEngine(g.num_nodes(), 9), g, costs, sources);
   EXPECT_EQ(dij, bf);
   EXPECT_EQ(dij, dial);
 

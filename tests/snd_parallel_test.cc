@@ -6,6 +6,7 @@
 // installs records the same work counts for any thread count.
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <thread>
 #include <vector>
 
@@ -57,31 +58,13 @@ TEST_F(SndParallelTest, ComputeIsBitwiseIdenticalAcrossThreadCounts) {
   const Graph graph = RandomSymmetricGraph(80, 160, &rng);
   const NetworkState a = RandomState(80, 0.4, &rng);
   const NetworkState b = RandomState(80, 0.5, &rng);
-  for (const bool parallel_terms : {false, true}) {
-    SndOptions options;
-    options.parallel_terms = parallel_terms;
-    const SndCalculator calc(&graph, options);
-    ThreadPool::SetGlobalThreads(1);
-    const double reference = calc.Compute(a, b).value;
-    for (const int32_t threads : ThreadCounts()) {
-      ThreadPool::SetGlobalThreads(threads);
-      EXPECT_EQ(calc.Compute(a, b).value, reference)
-          << "threads=" << threads << " parallel_terms=" << parallel_terms;
-    }
+  const SndCalculator calc(&graph, SndOptions{});
+  ThreadPool::SetGlobalThreads(1);
+  const double reference = calc.Compute(a, b).value;
+  for (const int32_t threads : ThreadCounts()) {
+    ThreadPool::SetGlobalThreads(threads);
+    EXPECT_EQ(calc.Compute(a, b).value, reference) << "threads=" << threads;
   }
-}
-
-TEST_F(SndParallelTest, SerialOptionMatchesParallelValue) {
-  Rng rng(12);
-  const Graph graph = RandomSymmetricGraph(60, 120, &rng);
-  const NetworkState a = RandomState(60, 0.4, &rng);
-  const NetworkState b = RandomState(60, 0.5, &rng);
-  SndOptions serial_options;
-  serial_options.parallel_sssp = false;
-  const SndCalculator serial_calc(&graph, serial_options);
-  const SndCalculator parallel_calc(&graph, SndOptions{});
-  EXPECT_EQ(serial_calc.Compute(a, b).value,
-            parallel_calc.Compute(a, b).value);
 }
 
 TEST_F(SndParallelTest, AdjacentDistanceSeriesMatchesSinglePairCompute) {
@@ -296,8 +279,7 @@ TEST_F(SndParallelTest, AutoBackendResolvesAgainstModelCostBound) {
   const SndCalculator auto_calc(&graph, options);
   EXPECT_EQ(auto_calc.sssp_backend(),
             ResolveSsspBackend(SsspBackend::kAuto, n,
-                               auto_calc.model().MaxEdgeCost(),
-                               ThreadPool::GlobalThreads()));
+                               auto_calc.model().MaxEdgeCost()));
   options.sssp_backend = SsspBackend::kDijkstra;
   const SndCalculator dijkstra_calc(&graph, options);
   EXPECT_EQ(dijkstra_calc.sssp_backend(), SsspBackend::kDijkstra);
@@ -306,37 +288,47 @@ TEST_F(SndParallelTest, AutoBackendResolvesAgainstModelCostBound) {
   EXPECT_EQ(dial_calc.sssp_backend(), SsspBackend::kDial);
 }
 
-TEST_F(SndParallelTest, DeltaSteppingDegradesToSequentialWhenNested) {
-  // Satellite regression: a DeltaSteppingEngine running inside an
-  // enclosing ParallelFor (the row-parallel ComputeTermFast fan-out) must
-  // not dispatch a nested parallel region - the pool's nested-inline rule
-  // makes its rounds sequential - and must still return exact distances.
-  // The graph is big enough that a top-level run would cross the
-  // parallel-frontier cutoff, so this exercises the InParallelRegion
-  // guard rather than the small-frontier fallback.
-  Rng rng(24);
+TEST_F(SndParallelTest, CalculatorBackendDoesNotDependOnPoolSize) {
+  // The backend is resolved from the graph and the model alone, so a
+  // calculator built (and cached) under one pool size keeps the backend
+  // it would have under any other. n and U sit at the delta-stepping
+  // corner of the auto rule.
+  Rng rng(25);
+  const Graph graph = RandomSymmetricGraph(kDeltaAutoMinNodes, 0, &rng);
+  SndOptions options;
+  options.agnostic.adverse_penalty = kDialAutoCostCap;
+  for (const int32_t threads : ThreadCounts()) {
+    ThreadPool::SetGlobalThreads(threads);
+    const SndCalculator calc(&graph, options);
+    ASSERT_GT(calc.model().MaxEdgeCost(), kDialAutoCostCap);
+    EXPECT_EQ(calc.sssp_backend(), SsspBackend::kDeltaStepping)
+        << "threads=" << threads;
+  }
+}
+
+TEST_F(SndParallelTest, DeltaEnginesPerLaneMatchDijkstraInsideParallelFor) {
+  // The row fan-out gives each pool lane its own sequential engine and
+  // runs them concurrently; each lane's search must return exact
+  // distances on a graph with a wide cost range.
+  Rng rng(26);
   const int32_t n = 1500;
   const Graph graph = RandomSymmetricGraph(n, 12 * n, &rng);
   std::vector<int32_t> costs(static_cast<size_t>(graph.num_edges()));
   for (auto& c : costs) {
     c = 1 + static_cast<int32_t>(rng.UniformInt(0, (1 << 18) - 1));
   }
-  const SsspSource source{0, 0};
-  DijkstraEngine reference(n);
-  const auto ref_span =
-      reference.Run(graph, costs, std::span<const SsspSource>(&source, 1),
-                    SsspGoal::AllNodes());
-  const std::vector<int64_t> expected(ref_span.begin(), ref_span.end());
+  const std::vector<int64_t> expected = testing_util::AllDistances(
+      DijkstraEngine(n), graph, costs, {{0, 0}});
 
   ThreadPool::SetGlobalThreads(2);
-  // One engine per lane: engines hold per-run workspaces and are not
-  // thread-safe across concurrent Run calls.
+  // Engines hold per-run workspaces and are not thread-safe across
+  // concurrent Run calls, hence one per lane.
   std::vector<DeltaSteppingEngine> engines;
   engines.reserve(2);
   for (int32_t i = 0; i < 2; ++i) engines.emplace_back(n, 1 << 18);
   std::atomic<int32_t> mismatches{0};
   ThreadPool::Global().ParallelFor(2, [&](int64_t, int32_t slot) {
-    EXPECT_TRUE(ThreadPool::InParallelRegion());
+    const SsspSource source{0, 0};
     const auto dist = engines[static_cast<size_t>(slot)].Run(
         graph, costs, std::span<const SsspSource>(&source, 1),
         SsspGoal::AllNodes());
@@ -345,23 +337,33 @@ TEST_F(SndParallelTest, DeltaSteppingDegradesToSequentialWhenNested) {
     }
   });
   EXPECT_EQ(mismatches.load(), 0);
+}
 
-  // End to end: the row-parallel SND fast path with the delta backend
-  // completes (no deadlock) and matches the Dijkstra reference bitwise.
+TEST_F(SndParallelTest, DeltaBackendMatchesDijkstraThroughRowFanOut) {
+  // With the delta backend, the row-parallel fast path of a single-pair
+  // Compute (one sequential engine per pool lane) and the pair-parallel
+  // batch both match the Dijkstra reference bitwise.
+  Rng rng(24);
+  ThreadPool::SetGlobalThreads(2);
   const std::vector<NetworkState> states = MakeSeries(60, 4, &rng);
-  const Graph small = RandomSymmetricGraph(60, 120, &rng);
+  const Graph graph = RandomSymmetricGraph(60, 120, &rng);
   SndOptions dijkstra_options;
   dijkstra_options.sssp_backend = SsspBackend::kDijkstra;
   SndOptions delta_options;
   delta_options.sssp_backend = SsspBackend::kDeltaStepping;
-  delta_options.parallel_terms = true;
-  const SndCalculator reference_calc(&small, dijkstra_options);
-  const SndCalculator delta_calc(&small, delta_options);
+  const SndCalculator reference_calc(&graph, dijkstra_options);
+  const SndCalculator delta_calc(&graph, delta_options);
   const StatePairs pairs = {{0, 1}, {1, 2}, {2, 3}, {0, 3}};
   const std::vector<double> want = reference_calc.BatchDistances(states, pairs);
   const std::vector<double> got = delta_calc.BatchDistances(states, pairs);
   ASSERT_EQ(got.size(), want.size());
-  for (size_t k = 0; k < got.size(); ++k) EXPECT_EQ(got[k], want[k]);
+  for (size_t k = 0; k < got.size(); ++k) {
+    EXPECT_EQ(got[k], want[k]);
+    const auto [i, j] = pairs[k];
+    EXPECT_EQ(delta_calc.Distance(states[static_cast<size_t>(i)],
+                                  states[static_cast<size_t>(j)]),
+              want[k]);
+  }
 }
 
 TEST_F(SndParallelTest, GroundDistanceMatrixIsDeterministic) {

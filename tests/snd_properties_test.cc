@@ -1,5 +1,6 @@
 // Property-style sweeps over the end-to-end SND pipeline: invariants that
 // must hold for arbitrary graphs, states, and configurations.
+#include <algorithm>
 #include <cmath>
 
 #include <gtest/gtest.h>
@@ -9,6 +10,7 @@
 #include "snd/flow/simplex_solver.h"
 #include "snd/graph/generators.h"
 #include "snd/opinion/evolution.h"
+#include "snd/util/thread_pool.h"
 #include "test_util.h"
 
 namespace snd {
@@ -159,22 +161,24 @@ TEST(SndInvariantsTest, EvolutionAttemptsRespectBudget) {
   EXPECT_GT(changed, 0);
 }
 
-
 TEST(SndInvariantsTest, ParallelTermsMatchSerial) {
+  // Every term of a Compute through the row-parallel fan-out is bitwise
+  // equal to the one computed on a single-thread pool.
   Rng rng(10);
   const Graph g = RandomSymmetricGraph(80, 160, &rng);
   const NetworkState a = RandomState(80, 0.3, &rng);
   const NetworkState b = RandomState(80, 0.45, &rng);
-  SndOptions serial;
-  SndOptions parallel;
-  parallel.parallel_terms = true;
-  const SndCalculator calc_serial(&g, serial);
-  const SndCalculator calc_parallel(&g, parallel);
-  const SndResult rs = calc_serial.Compute(a, b);
-  const SndResult rp = calc_parallel.Compute(a, b);
-  EXPECT_DOUBLE_EQ(rs.value, rp.value);
+  const SndCalculator calc(&g, SndOptions{});
+  const int32_t restore = ThreadPool::GlobalThreads();
+  ThreadPool::SetGlobalThreads(1);
+  const SndResult rs = calc.Compute(a, b);
+  ThreadPool::SetGlobalThreads(std::max(2, ThreadPool::DefaultThreads()));
+  const SndResult rp = calc.Compute(a, b);
+  ThreadPool::SetGlobalThreads(restore);
+  EXPECT_EQ(rs.value, rp.value);
+  ASSERT_EQ(rs.terms.size(), rp.terms.size());
   for (size_t k = 0; k < rs.terms.size(); ++k) {
-    EXPECT_DOUBLE_EQ(rs.terms[k].cost, rp.terms[k].cost);
+    EXPECT_EQ(rs.terms[k].cost, rp.terms[k].cost) << "term " << k;
   }
 }
 

@@ -9,7 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include "snd/paths/dijkstra.h"
 #include "snd/util/thread_pool.h"
 #include "test_util.h"
 
@@ -19,9 +18,6 @@ namespace {
 using testing_util::RandomDirectedGraph;
 using testing_util::RandomEdgeCosts;
 
-// Enough threads to clear the delta-stepping auto threshold.
-constexpr int32_t kManyThreads = 8;
-
 TEST(SsspBackendTest, Names) {
   EXPECT_STREQ(SsspBackendName(SsspBackend::kAuto), "auto");
   EXPECT_STREQ(SsspBackendName(SsspBackend::kDijkstra), "dijkstra");
@@ -30,77 +26,67 @@ TEST(SsspBackendTest, Names) {
 }
 
 TEST(SsspBackendTest, ConcreteRequestsPassThroughResolution) {
-  EXPECT_EQ(ResolveSsspBackend(SsspBackend::kDijkstra, 10, 1, 1),
+  EXPECT_EQ(ResolveSsspBackend(SsspBackend::kDijkstra, 10, 1),
             SsspBackend::kDijkstra);
-  EXPECT_EQ(ResolveSsspBackend(SsspBackend::kDial, 10, 1 << 20, 1),
+  EXPECT_EQ(ResolveSsspBackend(SsspBackend::kDial, 10, 1 << 20),
             SsspBackend::kDial);
-  EXPECT_EQ(ResolveSsspBackend(SsspBackend::kDeltaStepping, 10, 1, 1),
+  EXPECT_EQ(ResolveSsspBackend(SsspBackend::kDeltaStepping, 10, 1),
             SsspBackend::kDeltaStepping);
 }
 
 TEST(SsspBackendTest, AutoPicksDialOnlyWhenCostsAreSmallRelativeToN) {
   // The Assumption 2 regime: U small against n.
-  EXPECT_EQ(ResolveSsspBackend(SsspBackend::kAuto, 10000, 65, 1),
+  EXPECT_EQ(ResolveSsspBackend(SsspBackend::kAuto, 10000, 65),
             SsspBackend::kDial);
   // U comparable to n: the bucket sweep no longer pays off.
-  EXPECT_EQ(ResolveSsspBackend(SsspBackend::kAuto, 100, 99, 1),
+  EXPECT_EQ(ResolveSsspBackend(SsspBackend::kAuto, 100, 99),
             SsspBackend::kDijkstra);
   // Huge U: bucket array would dominate memory regardless of n.
-  EXPECT_EQ(ResolveSsspBackend(SsspBackend::kAuto, 1 << 30, 1 << 20, 1),
-            SsspBackend::kDijkstra);
+  EXPECT_EQ(ResolveSsspBackend(SsspBackend::kAuto, 1 << 30, 1 << 20),
+            SsspBackend::kDeltaStepping);
 }
 
 TEST(SsspBackendTest, AutoDialBoundariesArePinned) {
   // Exactly at the absolute cap with n large enough: still Dial.
-  EXPECT_EQ(ResolveSsspBackend(SsspBackend::kAuto, 1 << 30, kDialAutoCostCap,
-                               1),
+  EXPECT_EQ(ResolveSsspBackend(SsspBackend::kAuto, 1 << 30, kDialAutoCostCap),
             SsspBackend::kDial);
   // One past the cap: never Dial, regardless of n.
   EXPECT_EQ(ResolveSsspBackend(SsspBackend::kAuto, 1 << 30,
-                               kDialAutoCostCap + 1, 1),
-            SsspBackend::kDijkstra);
+                               kDialAutoCostCap + 1),
+            SsspBackend::kDeltaStepping);
   // Exactly at U == n/2: Dial. One node fewer flips it off.
-  EXPECT_EQ(ResolveSsspBackend(SsspBackend::kAuto, 200, 100, 1),
+  EXPECT_EQ(ResolveSsspBackend(SsspBackend::kAuto, 200, 100),
             SsspBackend::kDial);
-  EXPECT_EQ(ResolveSsspBackend(SsspBackend::kAuto, 199, 100, 1),
+  EXPECT_EQ(ResolveSsspBackend(SsspBackend::kAuto, 199, 100),
             SsspBackend::kDijkstra);
 }
 
-TEST(SsspBackendTest, AutoPicksDeltaOnlyOnLargeParallelInstances) {
-  const int32_t huge_u = kDialAutoCostCap + 1;  // Outside the Dial regime.
-  // Both thresholds met: delta-stepping.
-  EXPECT_EQ(ResolveSsspBackend(SsspBackend::kAuto, kDeltaAutoMinNodes, huge_u,
-                               kDeltaAutoMinThreads),
+TEST(SsspBackendTest, AutoPicksDeltaOnlyOnLargeInstances) {
+  const int32_t huge_u = 1 << 20;  // Outside the Dial regime.
+  EXPECT_EQ(ResolveSsspBackend(SsspBackend::kAuto, kDeltaAutoMinNodes, huge_u),
             SsspBackend::kDeltaStepping);
   // One node short: Dijkstra.
-  EXPECT_EQ(ResolveSsspBackend(SsspBackend::kAuto, kDeltaAutoMinNodes - 1,
-                               huge_u, kDeltaAutoMinThreads),
-            SsspBackend::kDijkstra);
-  // One thread short: Dijkstra.
-  EXPECT_EQ(ResolveSsspBackend(SsspBackend::kAuto, kDeltaAutoMinNodes, huge_u,
-                               kDeltaAutoMinThreads - 1),
-            SsspBackend::kDijkstra);
-  // The Dial regime wins over delta even with many threads: small U is
-  // Assumption 2's home turf and Dial is strictly leaner there.
-  EXPECT_EQ(ResolveSsspBackend(SsspBackend::kAuto, 1 << 20, 64,
-                               kDeltaAutoMinThreads),
+  EXPECT_EQ(
+      ResolveSsspBackend(SsspBackend::kAuto, kDeltaAutoMinNodes - 1, huge_u),
+      SsspBackend::kDijkstra);
+  // The Dial regime wins over delta: small U is Assumption 2's home turf
+  // and Dial is strictly leaner there.
+  EXPECT_EQ(ResolveSsspBackend(SsspBackend::kAuto, 1 << 20, 64),
             SsspBackend::kDial);
 }
 
 TEST(SsspEngineTest, FactoryBuildsTheResolvedBackend) {
-  EXPECT_EQ(MakeSsspEngine(SsspBackend::kDijkstra, 8, 3, 1)->backend(),
+  EXPECT_EQ(MakeSsspEngine(SsspBackend::kDijkstra, 8, 3)->backend(),
             SsspBackend::kDijkstra);
-  EXPECT_EQ(MakeSsspEngine(SsspBackend::kDial, 8, 3, 1)->backend(),
+  EXPECT_EQ(MakeSsspEngine(SsspBackend::kDial, 8, 3)->backend(),
             SsspBackend::kDial);
-  EXPECT_EQ(MakeSsspEngine(SsspBackend::kDeltaStepping, 8, 3, 1)->backend(),
+  EXPECT_EQ(MakeSsspEngine(SsspBackend::kDeltaStepping, 8, 3)->backend(),
             SsspBackend::kDeltaStepping);
-  EXPECT_EQ(MakeSsspEngine(SsspBackend::kAuto, 10000, 4, 1)->backend(),
+  EXPECT_EQ(MakeSsspEngine(SsspBackend::kAuto, 10000, 4)->backend(),
             SsspBackend::kDial);
-  EXPECT_EQ(MakeSsspEngine(SsspBackend::kAuto, 16, 1000, 1)->backend(),
+  EXPECT_EQ(MakeSsspEngine(SsspBackend::kAuto, 16, 1000)->backend(),
             SsspBackend::kDijkstra);
-  EXPECT_EQ(MakeSsspEngine(SsspBackend::kAuto, 1 << 20, 1 << 20,
-                           kManyThreads)
-                ->backend(),
+  EXPECT_EQ(MakeSsspEngine(SsspBackend::kAuto, 1 << 20, 1 << 20)->backend(),
             SsspBackend::kDeltaStepping);
 }
 
@@ -142,8 +128,7 @@ class EngineKindTest : public ::testing::TestWithParam<SsspBackend> {
  protected:
   static std::unique_ptr<SsspEngine> MakeEngine(int32_t num_nodes,
                                                 int32_t max_cost) {
-    return MakeSsspEngine(GetParam(), num_nodes, max_cost,
-                          /*available_threads=*/1);
+    return MakeSsspEngine(GetParam(), num_nodes, max_cost);
   }
 };
 
@@ -154,7 +139,8 @@ TEST_P(EngineKindTest, FullSearchMatchesDijkstraConvenience) {
   const SsspSource s{0, 0};
   const auto dist = engine->Run(g, costs, std::span<const SsspSource>(&s, 1),
                                 SsspGoal::AllNodes());
-  const auto expected = Dijkstra(g, costs, 0);
+  const auto expected =
+      testing_util::AllDistances(DijkstraEngine(4), g, costs, {{0, 0}});
   ASSERT_EQ(dist.size(), expected.size());
   for (size_t v = 0; v < expected.size(); ++v) EXPECT_EQ(dist[v], expected[v]);
 }
@@ -258,7 +244,8 @@ TEST_P(EngineKindTest, RandomizedPrunedMatchesFullOnTargets) {
     const auto pruned =
         engine->Run(g, costs, std::span<const SsspSource>(&s, 1),
                     SsspGoal::SettleTargets(targets));
-    const auto full = Dijkstra(g, costs, source);
+    const auto full =
+        testing_util::AllDistances(DijkstraEngine(n), g, costs, {{source, 0}});
     for (int32_t target : targets) {
       EXPECT_EQ(pruned[static_cast<size_t>(target)],
                 full[static_cast<size_t>(target)])
@@ -290,8 +277,7 @@ class ScopedGlobalThreads {
 };
 
 // The cross-backend determinism contract: every backend, at every thread
-// count, both goals, is bitwise identical to sequential Dijkstra. Large
-// enough frontiers to cross the delta engine's parallel-dispatch cutoff.
+// count, both goals, is bitwise identical to sequential Dijkstra.
 TEST(SsspDeterminismTest, AllBackendsBitwiseIdenticalAcrossThreadCounts) {
   const int32_t hw = ThreadPool::DefaultThreads();
   std::vector<int32_t> thread_counts{1, 2};
@@ -319,7 +305,7 @@ TEST(SsspDeterminismTest, AllBackendsBitwiseIdenticalAcrossThreadCounts) {
       for (const SsspBackend backend :
            {SsspBackend::kDijkstra, SsspBackend::kDial,
             SsspBackend::kDeltaStepping}) {
-        const auto engine = MakeSsspEngine(backend, n, max_cost, threads);
+        const auto engine = MakeSsspEngine(backend, n, max_cost);
         const auto full =
             engine->Run(g, costs, std::span<const SsspSource>(&s, 1),
                         SsspGoal::AllNodes());

@@ -3,6 +3,7 @@
 #define SND_TESTS_TEST_UTIL_H_
 
 #include <algorithm>
+#include <span>
 #include <vector>
 
 #include "snd/emd/dense_matrix.h"
@@ -66,6 +67,16 @@ inline NetworkState RandomState(int32_t n, double active_fraction, Rng* rng) {
   return state;
 }
 
+// Distances from `sources` to every node, searched by `engine` and copied
+// out of its reusable workspace.
+inline std::vector<int64_t> AllDistances(
+    SsspEngine&& engine, const Graph& g, std::span<const int32_t> costs,
+    const std::vector<SsspSource>& sources) {
+  const std::span<const int64_t> dist =
+      engine.Run(g, costs, sources, SsspGoal::AllNodes());
+  return {dist.begin(), dist.end()};
+}
+
 // Dense all-pairs shortest-path matrix with unreachable pairs mapped to
 // `unreachable`.
 inline DenseMatrix AllPairsMatrix(const Graph& g,
@@ -74,8 +85,8 @@ inline DenseMatrix AllPairsMatrix(const Graph& g,
   DenseMatrix d(g.num_nodes(), g.num_nodes(), 0.0);
   int32_t max_cost = 0;
   for (int32_t c : costs) max_cost = std::max(max_cost, c);
-  const std::unique_ptr<SsspEngine> engine = MakeSsspEngine(
-      SsspBackend::kAuto, g.num_nodes(), max_cost, /*available_threads=*/1);
+  const std::unique_ptr<SsspEngine> engine =
+      MakeSsspEngine(SsspBackend::kAuto, g.num_nodes(), max_cost);
   for (int32_t u = 0; u < g.num_nodes(); ++u) {
     const SsspSource source{u, 0};
     const std::span<const int64_t> dist =
